@@ -1,18 +1,13 @@
 """Time-stepping kernel with optional JIT compilation.
 
 The fixed-step integrator is the only hot inner loop in the package.  One
-source function provides both execution paths: by default it is compiled
-with numba's ``@njit`` (cached on disk); setting the environment variable
-``HETEROJJ_BACKEND=numpy`` before import selects the plain-Python fallback
-with identical arithmetic.  ``benchmarks/bench_backends.py`` compares the
-two paths.
+source function provides both execution paths: when numba can be imported
+it is compiled with ``@njit`` (cached on disk), otherwise it runs as plain
+Python with identical arithmetic.  numba is an optional extra
+(``pip install heterojj[numba]``).
 """
 
 import math
-import os
-import warnings
-
-BACKEND_ENV = "HETEROJJ_BACKEND"
 
 try:
     from numba import njit
@@ -88,23 +83,9 @@ def _rk4_washboard(theta, psi, theta_dot, psi_dot, dt, n_steps, stride,
 
 rk4_python = _rk4_washboard
 rk4_numba = njit(cache=True)(_rk4_washboard) if HAVE_NUMBA else None
-
-_requested = os.environ.get(BACKEND_ENV, "").strip().lower()
-if _requested in ("", "numba"):
-    USING_NUMBA = HAVE_NUMBA
-    if _requested == "numba" and not HAVE_NUMBA:
-        warnings.warn("numba requested via %s but not importable; "
-                      "falling back to the pure-Python kernel" % BACKEND_ENV)
-elif _requested in ("numpy", "python"):
-    USING_NUMBA = False
-else:
-    warnings.warn("unknown %s=%r (expected 'numba' or 'numpy'); "
-                  "using the default backend" % (BACKEND_ENV, _requested))
-    USING_NUMBA = HAVE_NUMBA
-
-rk4_step_loop = rk4_numba if USING_NUMBA else rk4_python
+rk4_step_loop = rk4_numba if HAVE_NUMBA else rk4_python
 
 
 def active_backend() -> str:
-    """Name of the kernel implementation selected at import time."""
-    return "numba" if USING_NUMBA else "numpy"
+    """Kernel in use: "numba", or "numpy" for the plain-Python path."""
+    return "numba" if HAVE_NUMBA else "numpy"

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels, model
 from .errors import InvalidParameterError, NoEquilibriumError, NonFiniteStateError
@@ -85,13 +84,12 @@ class Trajectory:
 
 
 def _kernel_coeffs(params: JunctionParams) -> tuple:
+    scales = model.derive(params)
     s = params.alpha1 + params.alpha2
-    lam = 1.0 + params.alpha1 * params.alpha2 / s
-    ej_tilt = abs(params.ej1 + params.kappa * params.ej2)
-    return (lam,
+    return (scales.lambda_cap,
             2.0 * params.ej1,
             2.0 * params.ej2,
-            2.0 * ej_tilt * params.bias,
+            2.0 * scales.ej_tilt * params.bias,
             params.kappa * 2.0 * s * params.ein,
             params.alpha1 / s,
             params.alpha2 / s,
@@ -107,9 +105,8 @@ def acceleration(state: PhaseState, params: JunctionParams) -> Tuple[float, floa
     inside the integration kernel.
     """
     dv_dtheta, dv_dpsi = model.potential_gradient(state.theta, state.psi, params)
-    s = params.alpha1 + params.alpha2
-    lam = 1.0 + params.alpha1 * params.alpha2 / s
-    return -2.0 * lam * dv_dtheta, -2.0 * s * dv_dpsi
+    lam = model.derive(params).lambda_cap
+    return -2.0 * lam * dv_dtheta, -2.0 * (params.alpha1 + params.alpha2) * dv_dpsi
 
 
 def integrate(initial: PhaseState, dt: float, n_steps: int,
@@ -237,16 +234,16 @@ def small_oscillation_frequencies(params: JunctionParams) -> Tuple[float, float]
     """Normal-mode angular frequencies about the equilibrium, ascending.
 
     Solves the generalized eigenproblem H v = w^2 M v with H the potential
-    Hessian and M = diag(1/(2 Lambda), 1/(2 (alpha1+alpha2))).  For a
+    Hessian and the diagonal M = diag(1/(2 Lambda), 1/(2 (alpha1+alpha2))),
+    as the symmetric eigenproblem of D H D with D = M^(-1/2).  For a
     symmetric junction at zero bias the modes decouple into a pure
     center-of-mass (plasma) mode and a pure relative-phase (Leggett) mode.
     """
     theta_star, psi_star = equilibrium(params)
     hess = model.potential_hessian(theta_star, psi_star, params)
-    s = params.alpha1 + params.alpha2
-    lam = 1.0 + params.alpha1 * params.alpha2 / s
-    mass = np.diag([1.0 / (2.0 * lam), 1.0 / (2.0 * s)])
-    w2 = scipy.linalg.eigh(hess, mass, eigvals_only=True)
+    lam = model.derive(params).lambda_cap
+    d = np.sqrt([2.0 * lam, 2.0 * (params.alpha1 + params.alpha2)])
+    w2 = np.linalg.eigvalsh(hess * np.outer(d, d))
     if w2[0] <= 0.0:
         raise NoEquilibriumError("equilibrium is not stable (negative mode)")
     return float(math.sqrt(w2[0])), float(math.sqrt(w2[1]))
@@ -258,9 +255,7 @@ def reduced_voltage(state: PhaseState, params: JunctionParams) -> float:
     Only the center-of-mass phase couples to the voltage; relative-phase
     motion contributes nothing.
     """
-    s = params.alpha1 + params.alpha2
-    lam = 1.0 + params.alpha1 * params.alpha2 / s
-    return state.theta_dot / lam
+    return state.theta_dot / model.derive(params).lambda_cap
 
 
 def detect_switching(trajectory: Trajectory,

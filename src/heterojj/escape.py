@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import InvalidAxisError, InvalidParameterError, NoBarrierError
-from .model import JunctionParams, derive
+from .model import JunctionParams, derive, record
 
 __all__ = [
     "FluctuationRenorm",
@@ -140,23 +141,31 @@ def zero_point_variance(params: JunctionParams) -> float:
 
     Equals (alpha1+alpha2)/omega_JL in reduced units, i.e.
     1/(2 m_rlt omega_JL) for the harmonic Leggett well.  The mean <psi>
-    vanishes at T = 0.
+    vanishes at T = 0.  Broadcasts like :func:`heterojj.model.derive`.
     """
-    scales = derive(params)
-    return (params.alpha1 + params.alpha2) / scales.omega_jl
+    return (params.alpha1 + params.alpha2) / derive(params).omega_jl
 
 
 def epsilon(params: JunctionParams) -> FluctuationRenorm:
-    """Barrier renormalization eps = g_plus <psi^2>, with its dual form."""
+    """Barrier renormalization eps = g_plus <psi^2>, with its dual form.
+
+    Broadcasts like :func:`heterojj.model.derive`: array fields give array
+    fields, a :class:`JunctionParams` gives Python floats and bools.
+    """
     scales = derive(params)
-    var = (params.alpha1 + params.alpha2) / scales.omega_jl
+    var = zero_point_variance(params)
     eps = scales.g_plus * var
     eps_ratio = (scales.g_plus / math.sqrt(2.0)) * (params.alpha1 + params.alpha2) \
-        * (scales.omega_p / scales.omega_jl) * math.sqrt(1.0 / scales.ej_sum)
-    return FluctuationRenorm(psi_variance=var, epsilon=eps,
-                             epsilon_from_ratio=eps_ratio,
-                             valid=eps < 1.0,
-                             strained=eps > EPSILON_STRAIN_THRESHOLD)
+        * (scales.omega_p / scales.omega_jl) * np.sqrt(1.0 / scales.ej_sum)
+    return record(FluctuationRenorm, psi_variance=var, epsilon=eps,
+                  epsilon_from_ratio=eps_ratio, valid=eps < 1.0,
+                  strained=eps > EPSILON_STRAIN_THRESHOLD)
+
+
+def _check_eps(eps: float) -> None:
+    if not (0.0 <= eps < 1.0):
+        raise InvalidParameterError(
+            f"eps must satisfy 0 <= eps < 1 (barrier wiped out otherwise), got {eps!r}")
 
 
 def effective_potential(theta, params: JunctionParams, eps: float):
@@ -166,44 +175,31 @@ def effective_potential(theta, params: JunctionParams, eps: float):
     -E_J (cos(theta) + bias*theta) with E_J = ej1 + ej2.  Accepts scalar or
     array theta.
     """
-    if not (0.0 <= eps < 1.0):
-        raise InvalidParameterError(
-            f"eps must satisfy 0 <= eps < 1 (barrier wiped out otherwise), got {eps!r}")
-    ej_sum = params.ej1 + params.ej2
-    return -ej_sum * ((1.0 - eps) * np.cos(theta) + params.bias * theta)
+    _check_eps(eps)
+    return -derive(params).ej_sum * ((1.0 - eps) * np.cos(theta) + params.bias * theta)
 
 
-def barrier_params(params: JunctionParams, eps: float) -> Tuple[float, float, float]:
-    """Cubic-barrier geometry (theta0, omega_p_i, v0) of the renormalized well.
+def _instanton(omega_p, bias, eps) -> EscapeResult:
+    """Cubic-barrier geometry and ln(Gamma), broadcast over array arguments.
 
     theta0 solves (1-eps) sin(theta0) = bias; omega_p_i is the bias- and
     eps-softened plasma frequency omega_P [(1-eps)^2 - bias^2]^(1/4); v0
     is the barrier height omega_p_i^2 cot^2(theta0)/3 (here evaluated as
     omega_p_i^2 u / (3 bias^2) with u = (1-eps)^2 - bias^2, the same closed
-    form without re-entering trig functions).
-
-    Raises NoBarrierError when bias >= 1 - eps (classical running state).
-    The chain requires bias > 0: the cubic expansion degenerates in the
-    untilted well.
+    form without re-entering trig functions).  No domain checks: outside
+    0 < bias < 1 - eps the fields are NaN or meaningless.
     """
-    if not (0.0 <= eps < 1.0):
-        raise InvalidParameterError(
-            f"eps must satisfy 0 <= eps < 1, got {eps!r}")
-    if params.bias <= 0.0:
-        raise InvalidParameterError(
-            "the cubic-barrier chain requires bias > 0 (the untilted well has no "
-            "cubic exit path)")
-    if params.bias >= 1.0 - eps:
-        raise NoBarrierError(
-            f"no barrier: bias={params.bias} >= 1 - eps = {1.0 - eps} "
-            "(classical running state)")
-    scales = derive(params)
-    theta0 = math.asin(params.bias / (1.0 - eps))
+    theta0 = np.arcsin(bias / (1.0 - eps))
     # factored form of (1-eps)^2 - bias^2: no cancellation near critical tilt
-    u = (1.0 - eps - params.bias) * (1.0 - eps + params.bias)
-    omega_p_i = scales.omega_p * u ** 0.25
-    v0 = omega_p_i * omega_p_i * u / (3.0 * params.bias * params.bias)
-    return theta0, omega_p_i, v0
+    u = (1.0 - eps - bias) * (1.0 - eps + bias)
+    omega_p_i = omega_p * u ** 0.25
+    v0 = omega_p_i * omega_p_i * u / (3.0 * bias * bias)
+    exponent_b = 36.0 * v0 / (5.0 * omega_p_i)
+    ln_prefactor = (math.log(12.0) + np.log(omega_p_i)
+                    + 0.5 * np.log(3.0 * v0 / (2.0 * math.pi * omega_p_i)))
+    return record(EscapeResult, omega_p_i=omega_p_i, theta0=theta0, v0=v0,
+                  exponent_b=exponent_b, ln_prefactor=ln_prefactor,
+                  ln_gamma=ln_prefactor - exponent_b, eps=eps)
 
 
 def escape_rate_ln(params: JunctionParams, eps: float) -> EscapeResult:
@@ -218,14 +214,30 @@ def escape_rate_ln(params: JunctionParams, eps: float) -> EscapeResult:
     would overflow a double).  In u = (1-eps)^2 - bias^2 the prefactor
     scales as u^(7/8) and ``exponent_b`` as u^(5/4); the formula holds for
     exponent_b >> 1 and is returned as computed outside that domain.
+
+    Raises NoBarrierError when bias >= 1 - eps (classical running state).
+    The chain requires bias > 0: the cubic expansion degenerates in the
+    untilted well.
     """
-    theta0, omega_p_i, v0 = barrier_params(params, eps)
-    exponent_b = 36.0 * v0 / (5.0 * omega_p_i)
-    ln_prefactor = (math.log(12.0) + math.log(omega_p_i)
-                    + 0.5 * math.log(3.0 * v0 / (2.0 * math.pi * omega_p_i)))
-    return EscapeResult(omega_p_i=omega_p_i, theta0=theta0, v0=v0,
-                        exponent_b=exponent_b, ln_prefactor=ln_prefactor,
-                        ln_gamma=ln_prefactor - exponent_b, eps=eps)
+    _check_eps(eps)
+    if params.bias <= 0.0:
+        raise InvalidParameterError(
+            "the cubic-barrier chain requires bias > 0 (the untilted well has no "
+            "cubic exit path)")
+    if params.bias >= 1.0 - eps:
+        raise NoBarrierError(
+            f"no barrier: bias={params.bias} >= 1 - eps = {1.0 - eps} "
+            "(classical running state)")
+    return _instanton(derive(params).omega_p, params.bias, eps)
+
+
+def barrier_params(params: JunctionParams, eps: float) -> Tuple[float, float, float]:
+    """Cubic-barrier geometry (theta0, omega_p_i, v0) of the renormalized well.
+
+    The fields of :func:`escape_rate_ln`, with its checks and exceptions.
+    """
+    result = escape_rate_ln(params, eps)
+    return result.theta0, result.omega_p_i, result.v0
 
 
 def enhancement_ratio_ln(params: JunctionParams,
@@ -248,52 +260,43 @@ def enhancement_ratio_ln(params: JunctionParams,
     return corrected.ln_gamma - bare.ln_gamma
 
 
-def _apply_axis_value(params: JunctionParams, name: str, value: float) -> JunctionParams:
-    if name == "bias":
-        return params.replace(bias=value)
-    if name == "alpha":
-        return params.replace(alpha1=value, alpha2=value)
-    if name == "ej_over_ec":
-        ej_sum = params.ej1 + params.ej2
-        f1 = params.ej1 / ej_sum
-        f2 = params.ej2 / ej_sum
-        return params.replace(ej1=value * f1, ej2=value * f2)
-    if name == "omega_ratio":
-        s = params.alpha1 + params.alpha2
-        ein = (params.ej1 + params.ej2) / (s * value * value)
-        return params.replace(ein=ein)
-    raise InvalidAxisError(f"unknown axis name {name!r}")
-
-
-def _cell_params(base: JunctionParams, assignments) -> JunctionParams:
-    # omega_ratio resolves ein from the *final* ej and alpha, so apply it last.
-    ordered = sorted(assignments, key=lambda kv: kv[0] == "omega_ratio")
-    p = base
-    for name, value in ordered:
-        p = _apply_axis_value(p, name, float(value))
-    return p
-
-
 def sweep_grid(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec,
                eps_override: Optional[float] = None) -> SweepGrid:
     """Evaluate ln(Gamma/Gamma0) over a rectangular parameter grid.
 
-    Cells where the parameters are invalid or the barrier is gone are
-    flagged invalid (NaN value) without affecting their neighbors.  The
-    result matrix is assembled in deterministic row-major order.
+    Axis semantics: ``alpha`` sets alpha1 = alpha2, ``ej_over_ec`` rescales
+    both channels at fixed asymmetry, and ``omega_ratio`` solves ein last,
+    from the cell's final E_J and alpha.  The whole grid runs through the
+    same array-valued chain as the point functions.  Cells where the
+    parameters are invalid (omega_ratio <= 0 included) or the barrier is
+    gone are flagged invalid (NaN value) without affecting their neighbors.
     """
     if axis1.name == axis2.name:
         raise InvalidAxisError(f"axes must differ, both are {axis1.name!r}")
-    vals1 = axis1.values()
-    vals2 = axis2.values()
-    values = np.full((axis1.count, axis2.count), np.nan)
-    valid = np.zeros((axis1.count, axis2.count), dtype=bool)
-    for i, v1 in enumerate(vals1):
-        for j, v2 in enumerate(vals2):
-            try:
-                cell = _cell_params(base, ((axis1.name, v1), (axis2.name, v2)))
-                values[i, j] = enhancement_ratio_ln(cell, eps_override)
-                valid[i, j] = bool(np.isfinite(values[i, j]))
-            except (InvalidParameterError, NoBarrierError):
-                pass
+    axes = {axis1.name: axis1.values()[:, None], axis2.name: axis2.values()[None, :]}
+    cell = SimpleNamespace(ej1=base.ej1, ej2=base.ej2, ein=base.ein,
+                           alpha1=base.alpha1, alpha2=base.alpha2,
+                           kappa=base.kappa, bias=axes.get("bias", base.bias))
+    with np.errstate(all="ignore"):
+        if "alpha" in axes:
+            cell.alpha1 = cell.alpha2 = axes["alpha"]
+        if "ej_over_ec" in axes:
+            ej_sum = base.ej1 + base.ej2
+            cell.ej1 = axes["ej_over_ec"] * (base.ej1 / ej_sum)
+            cell.ej2 = axes["ej_over_ec"] * (base.ej2 / ej_sum)
+        if "omega_ratio" in axes:
+            ratio = axes["omega_ratio"]
+            # no positive ein solves a ratio <= 0; NaN marks those cells invalid
+            cell.ein = np.where(ratio > 0.0, (cell.ej1 + cell.ej2)
+                                / ((cell.alpha1 + cell.alpha2) * ratio * ratio), np.nan)
+        eps = epsilon(cell).epsilon if eps_override is None else eps_override
+        omega_p = derive(cell).omega_p
+        ln_ratio = (_instanton(omega_p, cell.bias, eps).ln_gamma
+                    - _instanton(omega_p, cell.bias, 0.0).ln_gamma)
+        valid = ((0.0 <= eps) & (eps < 1.0) & (0.0 < cell.bias) & (cell.bias < 1.0 - eps)
+                 & np.isfinite(ln_ratio))
+        for v in (cell.ej1, cell.ej2, cell.ein, cell.alpha1, cell.alpha2):
+            valid = valid & np.isfinite(v) & (v > 0.0)
+    valid = np.broadcast_to(valid, (axis1.count, axis2.count)).copy()
+    values = np.where(valid, ln_ratio, np.nan)
     return SweepGrid(axis1=axis1, axis2=axis2, values=values, valid=valid, base=base)

@@ -83,12 +83,11 @@ class JunctionParams:
         frequency ratio omega_P/omega_JL, from which the inter-band coupling
         is solved.
         """
-        if not (math.isfinite(ej_over_ec) and ej_over_ec > 0):
-            raise InvalidParameterError(f"ej_over_ec must be positive, got {ej_over_ec!r}")
-        if not (math.isfinite(omega_ratio) and omega_ratio > 0):
-            raise InvalidParameterError(f"omega_ratio must be positive, got {omega_ratio!r}")
-        if not (math.isfinite(j_ratio) and j_ratio > 0):
-            raise InvalidParameterError(f"j_ratio must be positive, got {j_ratio!r}")
+        # alpha1 + alpha2 divides below, so the alphas are checked here too
+        for name, v in (("ej_over_ec", ej_over_ec), ("omega_ratio", omega_ratio),
+                        ("j_ratio", j_ratio), ("alpha1", alpha1), ("alpha2", alpha2)):
+            if not (math.isfinite(v) and v > 0):
+                raise InvalidParameterError(f"{name} must be positive, got {v!r}")
         ej1 = ej_over_ec * j_ratio / (1.0 + j_ratio)
         ej2 = ej_over_ec / (1.0 + j_ratio)
         # omega_JL = omega_P / ratio with omega_P^2 = 2(ej1+ej2)
@@ -134,6 +133,11 @@ def derive(params: JunctionParams) -> DerivedScales:
     with a_i = alpha_i/(alpha1+alpha2) and E_J = E_J1 + E_J2.  For a
     symmetric junction (ej1 = ej2, alpha1 = alpha2) these evaluate exactly
     to 1/8 and 0 in IEEE arithmetic.
+
+    ``params`` may also be any object with the same fields holding
+    broadcastable numpy arrays (as :func:`heterojj.escape.sweep_grid` builds
+    them); every scale is then an array.  A :class:`JunctionParams` gives
+    Python floats.
     """
     s = params.alpha1 + params.alpha2
     a1 = params.alpha1 / s
@@ -141,19 +145,28 @@ def derive(params: JunctionParams) -> DerivedScales:
     ej_sum = params.ej1 + params.ej2
     g_plus = (params.ej1 / (2.0 * ej_sum)) * a1 * a1 + (params.ej2 / (2.0 * ej_sum)) * a2 * a2
     g_minus = (params.ej1 / ej_sum) * a1 - (params.ej2 / ej_sum) * a2
-    return DerivedScales(
+    return record(
+        DerivedScales,
         lambda_cap=1.0 + params.alpha1 * params.alpha2 / s,
         ej_sum=ej_sum,
         ej_tilt=abs(params.ej1 + params.kappa * params.ej2),
-        omega_p=math.sqrt(2.0 * ej_sum),
-        omega_p1=math.sqrt(2.0 * params.ej1),
-        omega_p2=math.sqrt(2.0 * params.ej2),
-        omega_jl=math.sqrt(2.0 * s * params.ein),
+        omega_p=np.sqrt(2.0 * ej_sum),
+        omega_p1=np.sqrt(2.0 * params.ej1),
+        omega_p2=np.sqrt(2.0 * params.ej2),
+        omega_jl=np.sqrt(2.0 * s * params.ein),
         m_cm=0.5,
         m_rlt=1.0 / (2.0 * s),
         g_plus=g_plus,
         g_minus=g_minus,
     )
+
+
+def record(cls, **fields):
+    """Build the result dataclass ``cls``, turning numpy scalars into Python
+    ``float``/``bool`` so that point results serialize like plain numbers;
+    arrays pass through unchanged."""
+    return cls(**{k: v.item() if isinstance(v, np.generic) else v
+                  for k, v in fields.items()})
 
 
 def split_phases(theta, psi, params: JunctionParams):

@@ -132,8 +132,7 @@ def harmonic_spectrum(params: JunctionParams, half_width: float | None = None,
         If any level spacing changes by more than 0.1% when the grid is
         refined from N to 2N points.
     """
-    scales = derive(params)
-    sigma = math.sqrt((params.alpha1 + params.alpha2) / scales.omega_jl)
+    sigma = math.sqrt(escape.zero_point_variance(params))
     if half_width is None:
         half_width = DEFAULT_HALFWIDTH_SIGMAS * sigma
     if half_width < MIN_HALFWIDTH_SIGMAS * sigma:
@@ -146,7 +145,7 @@ def harmonic_spectrum(params: JunctionParams, half_width: float | None = None,
             f"n_points={n_points} is too coarse; need at least {MIN_GRID_POINTS}")
     if n_levels < 2:
         raise InvalidParameterError(f"n_levels must be >= 2, got {n_levels}")
-    mass = scales.m_rlt
+    mass = derive(params).m_rlt
     levels, variance = _fd_levels(mass, params.ein, half_width, n_points, n_levels)
     levels_fine, _ = _fd_levels(mass, params.ein, half_width, 2 * n_points, n_levels)
     gaps = np.diff(levels)
@@ -233,7 +232,7 @@ def cubic_fit(params: JunctionParams, eps: float) -> CubicFit:
     rounding.
     """
     theta0, _omega_p_i, _v0 = escape.barrier_params(params, eps)
-    ej_sum = params.ej1 + params.ej2
+    ej_sum = derive(params).ej_sum
     quad_coeff = ej_sum * (1.0 - eps) * math.cos(theta0)
     cubic_coeff = -ej_sum * (1.0 - eps) * math.sin(theta0)
     barrier_height = (2.0 / 3.0) * quad_coeff ** 3 / (cubic_coeff * cubic_coeff)

@@ -154,18 +154,14 @@ def _max_gradient_deviation(params: JunctionParams, step: float = GRADIENT_FD_ST
     up.
     """
     grid = np.linspace(-math.pi, math.pi, GRADIENT_GRID_POINTS)
-    worst = 0.0
-    for theta in grid:
-        for psi in grid:
-            at, ap = model.potential_gradient(theta, psi, params)
-            ft = (model.potential(theta + step, psi, params)
-                  - model.potential(theta - step, psi, params)) / (2.0 * step)
-            fp = (model.potential(theta, psi + step, params)
-                  - model.potential(theta, psi - step, params)) / (2.0 * step)
-            worst = max(worst,
-                        abs(at - ft) / max(1.0, abs(ft)),
-                        abs(ap - fp) / max(1.0, abs(fp)))
-    return worst
+    theta, psi = np.meshgrid(grid, grid, indexing="ij")
+    at, ap = model.potential_gradient(theta, psi, params)
+    ft = (model.potential(theta + step, psi, params)
+          - model.potential(theta - step, psi, params)) / (2.0 * step)
+    fp = (model.potential(theta, psi + step, params)
+          - model.potential(theta, psi - step, params)) / (2.0 * step)
+    return float(max(np.max(np.abs(at - ft) / np.maximum(1.0, np.abs(ft))),
+                     np.max(np.abs(ap - fp) / np.maximum(1.0, np.abs(fp)))))
 
 
 def format_table(results: List[CheckResult]) -> str:

@@ -86,6 +86,13 @@ def test_kappa_zero_cites_constraint(tmp_path, capsys):
     assert "kappa" in err and "+1" in err
 
 
+def test_ratio_style_zero_alphas_cite_alpha(tmp_path, capsys):
+    cfg = write(tmp_path, "bad.cfg", "[junction]\nej_over_ec = 100\nomega_ratio = 2\n"
+                "alpha1 = 0\nalpha2 = 0\n")
+    assert main(["derive", "--config", cfg]) == 3
+    assert "alpha1" in capsys.readouterr().err
+
+
 def test_mixed_parameterization_rejected(tmp_path, capsys):
     cfg = write(tmp_path, "bad.cfg",
                 "[junction]\nej1 = 50\nej2 = 50\nein = 125\nomega_ratio = 2\n")
@@ -260,6 +267,23 @@ axis2 = omega_ratio:1:2:3
     assert all(ln.split(",")[2] == "nan" for ln in lines[1:])
     doc = json.loads((tmp_path / "dead.json").read_text())
     assert all(v is None for row in doc["ln_ratio"] for v in row)
+
+
+def test_sweep_non_positive_omega_ratio_cells_invalid(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "zero.cfg", REF_CONFIG + """
+[run]
+axis1 = bias:0.9:0.95:2
+axis2 = omega_ratio:-1:1:3
+""")
+    assert main(["sweep", "--config", cfg, "--out", "zero"]) == 0
+    rows = [ln.split(",") for ln in
+            (tmp_path / "zero.csv").read_text().strip().splitlines()[1:]]
+    assert len(rows) == 6
+    for row in rows:
+        ok = float(row[1]) > 0.0
+        assert row[3] == ("1" if ok else "0")
+        assert (row[2] == "nan") != ok
 
 
 def test_default_sweep_completes_quickly(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -290,20 +291,95 @@ def test_sweep_axis_semantics():
     base = JunctionParams.from_ratios(100.0, 2.0, 2.0, 0.1, 0.1, 1, 0.93)
     grid = sweep_grid(base, AxisSpec("alpha", 0.05, 0.2, 2),
                       AxisSpec("omega_ratio", 1.0, 3.0, 2))
-    from heterojj.escape import _cell_params
-    cell = _cell_params(base, (("alpha", 0.2), ("omega_ratio", 3.0)))
-    assert cell.alpha1 == cell.alpha2 == 0.2
+    assert grid.valid.all()
+    # alpha sets both alphas; omega_ratio then solves ein from the final
+    # alpha, so the cell honors the requested ratio and keeps the E_J split.
+    cell = base.replace(alpha1=0.2, alpha2=0.2,
+                        ein=(base.ej1 + base.ej2) / (0.4 * 3.0 * 3.0))
     scales = derive(cell)
-    # omega_ratio is applied after alpha, so the cell honors the requested ratio
     assert scales.omega_p / scales.omega_jl == pytest.approx(3.0, rel=1e-12)
     assert cell.ej1 / cell.ej2 == pytest.approx(2.0, rel=1e-12)
-    assert grid.valid.all()
+    assert grid.values[1, 1] == pytest.approx(enhancement_ratio_ln(cell), rel=1e-12)
+    # ein solved before alpha is applied would miss the ratio and the value
+    ratio_first = base.replace(ein=(base.ej1 + base.ej2) / (0.2 * 3.0 * 3.0),
+                               alpha1=0.2, alpha2=0.2)
+    assert abs(enhancement_ratio_ln(ratio_first) - grid.values[1, 1]) > 1e-3
 
-    scaled = _cell_params(base, (("ej_over_ec", 400.0), ("bias", 0.9)))
-    assert scaled.ej1 + scaled.ej2 == pytest.approx(400.0, rel=1e-14)
-    assert scaled.ej1 / scaled.ej2 == pytest.approx(2.0, rel=1e-12)
-    assert scaled.ein == base.ein  # ej rescaling leaves the inter-band coupling alone
-    assert scaled.bias == 0.9
+    # With unequal alphas the value depends on the E_J split, so the cells
+    # show that ej_over_ec keeps the asymmetry, sets the sum and leaves ein
+    # alone, and that bias is set.
+    base = JunctionParams.from_ratios(100.0, 2.0, 2.0, 0.05, 0.2, 1, 0.93)
+    grid = sweep_grid(base, AxisSpec("ej_over_ec", 100.0, 400.0, 2),
+                      AxisSpec("bias", 0.85, 0.9, 2))
+    assert grid.valid.all()
+    for j, bias in enumerate((0.85, 0.9)):
+        cell = base.replace(ej1=400.0 * 2.0 / 3.0, ej2=400.0 / 3.0, bias=bias)
+        assert grid.values[1, j] == pytest.approx(enhancement_ratio_ln(cell), rel=1e-12)
+    assert grid.values[1, 0] != pytest.approx(grid.values[1, 1], rel=1e-3)
+    cell = base.replace(ej1=400.0 * 2.0 / 3.0, ej2=400.0 / 3.0, bias=0.9)
+    for wrong in (cell.replace(ej1=200.0, ej2=200.0), cell.replace(ein=4.0 * base.ein)):
+        assert enhancement_ratio_ln(wrong) != pytest.approx(grid.values[1, 1], rel=1e-3)
+
+
+def test_sweep_flags_non_positive_omega_ratio():
+    grid = sweep_grid(REF_POINT, AxisSpec("bias", 0.9, 0.95, 2),
+                      AxisSpec("omega_ratio", -1.0, 1.0, 3))
+    assert not grid.valid[:, :2].any()
+    assert np.isnan(grid.values[:, :2]).all()
+    assert grid.valid[:, 2].all()
+    assert grid.values[1, 2] == pytest.approx(
+        enhancement_ratio_ln(ref_point_at(0.95, 1.0)), rel=1e-12)
+
+
+def _reference_cell(base, assignments):
+    """One sweep cell built as explicit JunctionParams, omega_ratio last."""
+    p = base
+    for name, value in sorted(assignments, key=lambda kv: kv[0] == "omega_ratio"):
+        if name == "bias":
+            p = p.replace(bias=value)
+        elif name == "alpha":
+            p = p.replace(alpha1=value, alpha2=value)
+        elif name == "ej_over_ec":
+            ej_sum = p.ej1 + p.ej2
+            p = p.replace(ej1=value * (p.ej1 / ej_sum), ej2=value * (p.ej2 / ej_sum))
+        else:
+            if not value > 0.0:
+                raise InvalidParameterError(f"omega_ratio must be positive, got {value}")
+            p = p.replace(ein=(p.ej1 + p.ej2) / ((p.alpha1 + p.alpha2) * value * value))
+    return p
+
+
+# Every range crosses into invalid cells: alpha <= 0, bias <= 0 and
+# bias >= 1 - eps, omega_ratio through 0, ej_over_ec <= 0.
+REFERENCE_AXES = (AxisSpec("bias", -0.1, 0.995, 12), AxisSpec("omega_ratio", -1.0, 5.0, 13),
+                  AxisSpec("ej_over_ec", -50.0, 400.0, 10), AxisSpec("alpha", -0.05, 0.3, 8))
+
+
+@pytest.mark.parametrize("axis1,axis2", list(itertools.combinations(REFERENCE_AXES, 2)),
+                         ids=lambda a: a.name)
+def test_sweep_matches_per_cell_reference_loop(axis1, axis2):
+    base = JunctionParams.from_ratios(100.0, 2.0, 2.0, 0.08, 0.15, 1, 0.93)
+    for eps_override in (None, 0.0, 0.02, -0.1, 1.5):
+        grid = sweep_grid(base, axis1, axis2, eps_override=eps_override)
+        valid = np.zeros_like(grid.valid)
+        for i, v1 in enumerate(axis1.values()):
+            for j, v2 in enumerate(axis2.values()):
+                try:
+                    cell = _reference_cell(base, ((axis1.name, float(v1)),
+                                                  (axis2.name, float(v2))))
+                    expected = enhancement_ratio_ln(cell, eps_override)
+                    bare = escape_rate_ln(cell, 0.0)
+                except (InvalidParameterError, NoBarrierError):
+                    continue
+                valid[i, j] = True
+                tol = 1e-12 * (abs(bare.ln_prefactor) + abs(bare.exponent_b))
+                assert abs(grid.values[i, j] - expected) <= tol, (i, j, eps_override)
+        assert np.array_equal(grid.valid, valid), eps_override
+        assert np.isnan(grid.values[~valid]).all()
+        if eps_override is None:
+            assert valid.any() and not valid.all()
+        if eps_override in (-0.1, 1.5):
+            assert not valid.any()
 
 
 def test_sweep_deterministic():
