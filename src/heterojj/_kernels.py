@@ -87,5 +87,6 @@ rk4_step_loop = rk4_numba if HAVE_NUMBA else rk4_python
 
 
 def active_backend() -> str:
-    """Kernel in use: "numba", or "numpy" for the plain-Python path."""
-    return "numba" if HAVE_NUMBA else "numpy"
+    """Kernel in use: "numba" for the compiled kernel, or "python" for the
+    same source run by the interpreter (it uses no numpy)."""
+    return "numba" if HAVE_NUMBA else "python"

@@ -73,14 +73,27 @@ def _print_flat(report: dict, stream) -> None:
             stream.write(f"{key}={_fmt(value)}\n")
 
 
-def cmd_derive(args) -> int:
-    cfg = _load(args)
-    report = _derive_report(cfg)
-    if args.json:
+def _write_report(report: dict, as_json: bool) -> int:
+    """Print a point report, or refuse one holding a non-finite number.
+
+    A NaN or infinity (for one, from inputs so large that the chain
+    overflows double precision) prints nothing: the first such field is
+    named on stderr and the exit code is EXIT_NUMERIC.
+    """
+    for key, value in report.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            sys.stderr.write(f"error: {key} is not finite ({value!r}); "
+                             "no report written\n")
+            return EXIT_NUMERIC
+    if as_json:
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
     else:
         _print_flat(report, sys.stdout)
     return EXIT_OK
+
+
+def cmd_derive(args) -> int:
+    return _write_report(_derive_report(_load(args)), args.json)
 
 
 def _simulate_csv(cfg: RunConfig, stride: int):
@@ -154,13 +167,7 @@ def _escape_report(cfg: RunConfig) -> dict:
 
 
 def cmd_escape(args) -> int:
-    cfg = _load(args)
-    report = _escape_report(cfg)
-    if args.json:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
-    else:
-        _print_flat(report, sys.stdout)
-    return EXIT_OK
+    return _write_report(_escape_report(_load(args)), args.json)
 
 
 def _sweep_json_document(grid: escape.SweepGrid, eps_override) -> dict:

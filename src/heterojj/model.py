@@ -13,6 +13,7 @@ average that couples to voltage and bias) and the relative phase ``psi``
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +30,12 @@ __all__ = [
     "potential_gradient",
     "potential_hessian",
 ]
+
+
+def _is_real(v) -> bool:
+    """A real number, numpy integer and floating scalars included; a bool is
+    a flag, not a parameter value."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -61,16 +68,20 @@ class JunctionParams:
     def __post_init__(self):
         for name in ("ej1", "ej2", "ein"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (_is_real(v) and math.isfinite(v) and v > 0):
                 raise InvalidParameterError(f"{name} must be a finite positive energy, got {v!r}")
         for name in ("alpha1", "alpha2"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (_is_real(v) and math.isfinite(v) and v > 0):
                 raise InvalidParameterError(f"{name} must be finite and positive, got {v!r}")
-        if self.kappa not in (1, -1):
+        if isinstance(self.kappa, bool) or self.kappa not in (1, -1):
             raise InvalidParameterError(f"kappa must be +1 or -1 exactly, got {self.kappa!r}")
-        if not (isinstance(self.bias, (int, float)) and math.isfinite(self.bias) and self.bias >= 0):
+        if not (_is_real(self.bias) and math.isfinite(self.bias) and self.bias >= 0):
             raise InvalidParameterError(f"bias must be finite and >= 0, got {self.bias!r}")
+        # numpy scalars (float32 above all) would otherwise carry their own
+        # precision into every derived scale
+        for name in ("ej1", "ej2", "ein", "alpha1", "alpha2", "bias"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @classmethod
     def from_ratios(cls, ej_over_ec: float, omega_ratio: float, j_ratio: float = 1.0,

@@ -16,9 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from . import escape
 from .errors import ConvergenceError, InvalidParameterError, NoBarrierError
@@ -94,6 +91,8 @@ class CubicFit:
 
 def _fd_levels(mass: float, spring: float, half_width: float, n_points: int,
                n_levels: int) -> Tuple[np.ndarray, float]:
+    from scipy.linalg import eigh_tridiagonal
+
     # Central-difference Laplacian with Dirichlet ends on [-L, L]:
     # H = -(1/2m) d^2/dpsi^2 + (1/2) spring psi^2 over n interior points.
     h = 2.0 * half_width / (n_points + 1)
@@ -188,6 +187,9 @@ def bounce_action(potential_profile: Callable[[float], float], mass: float,
         If no barrier rises above the minimum, or the potential never
         returns to the minimum level within one washboard period.
     """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     if not (mass > 0 and math.isfinite(mass)):
         raise InvalidParameterError(f"mass must be positive, got {mass!r}")
     if not (tol > 0):

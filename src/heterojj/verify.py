@@ -48,6 +48,28 @@ def _check(results: List[CheckResult], name: str, tolerance: float, func) -> Non
                                    note=f"{type(exc).__name__}: {exc}"))
 
 
+def _once(compute):
+    """Memoize a zero-argument oracle call for the rows that share it.
+
+    The outcome is kept whether it is a value or an exception, so a failing
+    oracle runs once and fails every row that depends on it.
+    """
+    outcome: list = []
+
+    def get():
+        if not outcome:
+            try:
+                outcome.append((compute(), None))
+            except Exception as exc:  # re-raised in each dependent row
+                outcome.append((None, exc))
+        value, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return get
+
+
 def run_checks(params: JunctionParams, spectrum_points: int = 2000,
                spectrum_levels: int = 7, bounce_tol: float = 1e-10,
                drift_dt: float = 1e-3, drift_steps: int = 10000,
@@ -69,13 +91,8 @@ def run_checks(params: JunctionParams, spectrum_points: int = 2000,
 
     _check(results, "epsilon-dual-form", 1e-12, dual_form)
 
-    spectrum_box: list = []
-
-    def get_spectrum():
-        if not spectrum_box:
-            spectrum_box.append(oracle.harmonic_spectrum(
-                params, n_points=spectrum_points, n_levels=spectrum_levels))
-        return spectrum_box[0]
+    get_spectrum = _once(lambda: oracle.harmonic_spectrum(
+        params, n_points=spectrum_points, n_levels=spectrum_levels))
 
     def ladder():
         spec = get_spectrum()
@@ -103,9 +120,12 @@ def run_checks(params: JunctionParams, spectrum_points: int = 2000,
 
     _check(results, "spectrum-resolution", oracle.RESOLUTION_SHIFT_LIMIT, resolution)
 
+    # the three barrier rows share one cubic fit and one closed-form geometry
+    get_fit = _once(lambda: (oracle.cubic_fit(params, fluct.epsilon),
+                             escape.barrier_params(params, fluct.epsilon)))
+
     def bounce():
-        fit = oracle.cubic_fit(params, fluct.epsilon)
-        _theta0, omega_p_i, v0 = escape.barrier_params(params, fluct.epsilon)
+        fit, (_theta0, omega_p_i, v0) = get_fit()
         closed = 36.0 * v0 / (5.0 * omega_p_i)
         result = oracle.bounce_action(fit.profile(), scales.m_cm, fit.theta_min,
                                       tol=bounce_tol)
@@ -114,15 +134,13 @@ def run_checks(params: JunctionParams, spectrum_points: int = 2000,
     _check(results, "bounce-vs-closed-form", 1e-8, bounce)
 
     def cubic_barrier():
-        fit = oracle.cubic_fit(params, fluct.epsilon)
-        _theta0, _omega_p_i, v0 = escape.barrier_params(params, fluct.epsilon)
+        fit, (_theta0, _omega_p_i, v0) = get_fit()
         return fit.barrier_height, v0
 
     _check(results, "cubic-barrier-height", 1e-10, cubic_barrier)
 
     def cubic_curvature():
-        fit = oracle.cubic_fit(params, fluct.epsilon)
-        _theta0, omega_p_i, _v0 = escape.barrier_params(params, fluct.epsilon)
+        fit, (_theta0, omega_p_i, _v0) = get_fit()
         return fit.quad_coeff, scales.m_cm * omega_p_i * omega_p_i
 
     _check(results, "cubic-curvature", 1e-10, cubic_curvature)

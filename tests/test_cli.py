@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +222,24 @@ def test_escape_no_barrier_exit(tmp_path, capsys):
     assert main(["escape", "--config", cfg]) == 5
 
 
+# E_J/E_C = 1e308 passes every parameter check, but omega_P = sqrt(2 E_J)
+# overflows, and everything after it is inf or NaN.
+OVERFLOW_CONFIG = REF_CONFIG.replace("ej_over_ec = 100", "ej_over_ec = 1e308") \
+    .replace("bias = 0.95", "bias = 0.9")
+
+
+@pytest.mark.parametrize("command,field", [("derive", "omega_p"),
+                                           ("escape", "corrected_omega_p_i")])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_non_finite_report_exits_numeric(tmp_path, capsys, command, field, as_json):
+    cfg = write(tmp_path, "overflow.cfg", OVERFLOW_CONFIG)
+    argv = [command, "--config", cfg] + (["--json"] if as_json else [])
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} is not finite (inf)")
+
+
 # --------------------------------------------------------------------- sweep
 
 SWEEP_CONFIG = REF_CONFIG + """
@@ -326,3 +348,51 @@ def test_verify_inject_fails_dual_form(capsys):
 def test_verify_coarse_spectrum_fails(capsys):
     assert main(["verify", "--spectrum-n", "500"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------- cold start
+
+# Runs in a fresh interpreter: the pytest process has long since imported
+# scipy (through the oracle tests), so only a new process shows what a cold
+# command loads.
+SCIPY_PROBE = r"""
+import json, sys
+from heterojj.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+sys.stdout.write("\n" + json.dumps({"codes": codes, "scipy": loaded}) + "\n")
+"""
+
+
+def scipy_after(argvs):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return result["codes"], result["scipy"]
+
+
+def test_cold_commands_load_no_scipy(tmp_path):
+    cfg = write(tmp_path, "cold.cfg", REF_CONFIG + """
+[run]
+n_steps = 100
+axis1 = bias:0.90:0.95:3
+axis2 = omega_ratio:1:2:3
+""")
+    stem = str(tmp_path / "cold")
+    codes, loaded = scipy_after([["derive", "--json", "--config", cfg],
+                                 ["escape", "--config", cfg],
+                                 ["sweep", "--config", cfg, "--out", stem],
+                                 ["simulate", "--config", cfg]])
+    assert codes == [0, 0, 0, 0]
+    assert (tmp_path / "cold.csv").exists()
+    assert loaded == []
+
+
+def test_verify_loads_scipy():
+    # control: the probe does see scipy once an oracle has run
+    codes, loaded = scipy_after([["verify", "--spectrum-n", "1000"]])
+    assert codes == [0]
+    assert "scipy" in loaded

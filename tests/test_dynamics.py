@@ -139,6 +139,13 @@ def test_backend_paths_agree():
     assert float(np.max(np.abs(out_py - out_nb))) < 1e-12
 
 
+def test_backend_name_says_what_runs():
+    # the interpreted kernel is plain Python; it uses no numpy
+    expected = ("numba", _kernels.rk4_numba) if _kernels.HAVE_NUMBA \
+        else ("python", _kernels.rk4_python)
+    assert (_kernels.active_backend(), _kernels.rk4_step_loop) == expected
+
+
 # ------------------------------------------------------------------ equilibria
 
 def test_equilibrium_zero_bias():

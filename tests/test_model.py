@@ -28,6 +28,25 @@ def test_invalid_params_rejected():
         JunctionParams(ej1=math.nan, ej2=50.0, ein=125.0)
 
 
+@pytest.mark.parametrize("field,scalar,value", [("ej1", np.int64, 50), ("ej1", np.float32, 50.5),
+                                                ("alpha1", np.int64, 1), ("alpha1", np.float32, 0.1),
+                                                ("bias", np.int64, 0), ("bias", np.float32, 0.95)])
+def test_numpy_scalars_accepted_as_floats(field, scalar, value):
+    value = scalar(value)
+    p = SYMMETRIC.replace(**{field: value})
+    stored = getattr(p, field)
+    # held as the Python float of the value given, so derived scales are
+    # computed in double precision, exactly as from that float
+    assert type(stored) is float and stored == float(value)
+    assert derive(p) == derive(SYMMETRIC.replace(**{field: float(value)}))
+
+
+@pytest.mark.parametrize("field", ["ej1", "alpha1", "bias", "kappa"])
+def test_bool_rejected(field):
+    with pytest.raises(InvalidParameterError, match=field):
+        SYMMETRIC.replace(**{field: True})
+
+
 def test_from_ratios_reproduces_ratios():
     p = JunctionParams.from_ratios(100.0, 2.0, 1.0, 0.1, 0.1, 1, 0.95)
     scales = derive(p)

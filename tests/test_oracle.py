@@ -5,7 +5,7 @@ import pytest
 
 from heterojj import (ConvergenceError, InvalidParameterError, JunctionParams,
                       NoBarrierError, barrier_params, bounce_action, cubic_fit,
-                      derive, harmonic_spectrum, zero_point_variance)
+                      derive, epsilon, harmonic_spectrum, zero_point_variance)
 from heterojj.oracle import _fd_levels
 
 REF_POINT = JunctionParams.from_ratios(100.0, 2.0, 1.0, 0.1, 0.1, 1, 0.95)
@@ -163,3 +163,50 @@ def test_cubic_coefficients_at_barrier_death():
 def test_cubic_fit_propagates_no_barrier():
     with pytest.raises(NoBarrierError):
         cubic_fit(REF_POINT.replace(bias=0.999), 0.01)
+
+
+
+# ------------------------------------------------------------ verify suite
+
+BARRIER_ROWS = ("bounce-vs-closed-form", "cubic-barrier-height", "cubic-curvature")
+SPECTRUM_ROWS = ("spectrum-ladder", "spectrum-ground-energy",
+                 "spectrum-ground-variance", "spectrum-resolution")
+
+
+def _run_counted(monkeypatch, params, **kwargs):
+    from heterojj import oracle, verify
+
+    calls = {"cubic_fit": 0, "harmonic_spectrum": 0}
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+    rows = {r.name: r for r in verify.run_checks(params, **kwargs)}
+    return rows, calls
+
+
+@pytest.mark.parametrize("bias", [0.95, 0.999])
+def test_verify_barrier_rows_share_one_fit(monkeypatch, bias):
+    rows, calls = _run_counted(monkeypatch, REF_POINT.replace(bias=bias))
+    assert calls == {"cubic_fit": 1, "harmonic_spectrum": 1}
+    eps = epsilon(REF_POINT).epsilon
+    below = bias < 1.0 - eps
+    # above the critical tilt each row still fails on its own, with the cause
+    note = "" if below else (f"NoBarrierError: no barrier: bias={bias} >= 1 - eps = "
+                             f"{1.0 - eps} (classical running state)")
+    for name in BARRIER_ROWS:
+        assert rows[name].passed is below
+        assert rows[name].note == note
+
+def test_verify_failing_spectrum_runs_once(monkeypatch):
+    rows, calls = _run_counted(monkeypatch, REF_POINT, spectrum_points=500)
+    assert calls == {"cubic_fit": 1, "harmonic_spectrum": 1}
+    for name in SPECTRUM_ROWS:
+        assert not rows[name].passed
+        assert rows[name].note.startswith("InvalidParameterError: n_points=500")
+    assert all(rows[name].passed for name in BARRIER_ROWS)
