@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
@@ -34,8 +35,20 @@ EXIT_NO_BARRIER = 5
 EXIT_AXIS = 6
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+# Each exception class the commands raise on bad input, and its exit code;
+# the first class the exception is an instance of decides.
+_EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    InvalidAxisError: EXIT_AXIS,
+    InvalidParameterError: EXIT_INVARIANT,
+    NonFiniteStateError: EXIT_NUMERIC,
+    NoBarrierError: EXIT_NO_BARRIER,
+    NoEquilibriumError: EXIT_NO_BARRIER,
+}
+
+# The EscapeResult fields of the escape report, in report order.
+_ESCAPE_FIELDS = ("theta0", "omega_p_i", "v0", "exponent_b", "ln_prefactor",
+                  "ln_gamma")
 
 
 def _load(args) -> RunConfig:
@@ -45,32 +58,17 @@ def _load(args) -> RunConfig:
 
 
 def _derive_report(cfg: RunConfig) -> dict:
-    scales = derive(cfg.params)
     fluct = escape.epsilon(cfg.params)
-    report = {
-        "ej1": cfg.params.ej1, "ej2": cfg.params.ej2, "ein": cfg.params.ein,
-        "alpha1": cfg.params.alpha1, "alpha2": cfg.params.alpha2,
-        "kappa": cfg.params.kappa, "bias": cfg.params.bias,
-        "lambda_cap": scales.lambda_cap, "ej_sum": scales.ej_sum,
-        "ej_tilt": scales.ej_tilt, "omega_p": scales.omega_p,
-        "omega_p1": scales.omega_p1, "omega_p2": scales.omega_p2,
-        "omega_jl": scales.omega_jl, "m_cm": scales.m_cm,
-        "m_rlt": scales.m_rlt, "g_plus": scales.g_plus,
-        "g_minus": scales.g_minus, "psi_variance": fluct.psi_variance,
-        "epsilon": fluct.epsilon, "epsilon_from_ratio": fluct.epsilon_from_ratio,
-        "epsilon_valid": fluct.valid, "epsilon_strained": fluct.strained,
-    }
-    return report
+    return {**asdict(cfg.params), **asdict(derive(cfg.params)),
+            "psi_variance": fluct.psi_variance, "epsilon": fluct.epsilon,
+            "epsilon_from_ratio": fluct.epsilon_from_ratio,
+            "epsilon_valid": fluct.valid, "epsilon_strained": fluct.strained}
 
 
 def _print_flat(report: dict, stream) -> None:
     for key, value in report.items():
-        if isinstance(value, bool):
-            stream.write(f"{key}={int(value)}\n")
-        elif isinstance(value, int):
-            stream.write(f"{key}={value}\n")
-        else:
-            stream.write(f"{key}={_fmt(value)}\n")
+        spec = "d" if isinstance(value, int) else ".17g"  # bools print as 1/0
+        stream.write(f"{key}={value:{spec}}\n")
 
 
 def _write_report(report: dict, as_json: bool) -> int:
@@ -92,6 +90,15 @@ def _write_report(report: dict, as_json: bool) -> int:
     return EXIT_OK
 
 
+def _csv(columns: dict, *footer: str) -> str:
+    """CSV text: a header of the column names, one row per array element
+    (floats with 17 significant digits, bools as 1/0) and the footer lines."""
+    row = ",".join("%d" if col.dtype == bool else "%.17g" for col in columns.values())
+    return "\n".join([",".join(columns),
+                      *(row % cells for cells in zip(*columns.values())),
+                      *footer, ""])
+
+
 def cmd_derive(args) -> int:
     return _write_report(_derive_report(_load(args)), args.json)
 
@@ -101,21 +108,16 @@ def _simulate_csv(cfg: RunConfig, stride: int):
                                   cfg.theta_dot0, cfg.psi_dot0)
     traj = dynamics.integrate(initial, cfg.dt, cfg.n_steps, cfg.params,
                               stride=stride)
-    scales = derive(cfg.params)
-    voltage = traj.theta_dot / scales.lambda_cap
-    lines = ["tau,theta,psi,theta_dot,psi_dot,energy,reduced_voltage"]
-    for i in range(len(traj)):
-        lines.append(",".join((_fmt(traj.tau[i]), _fmt(traj.theta[i]),
-                               _fmt(traj.psi[i]), _fmt(traj.theta_dot[i]),
-                               _fmt(traj.psi_dot[i]), _fmt(traj.energy[i]),
-                               _fmt(voltage[i]))))
     scale = abs(traj.energy[0]) or 1.0
     drift = float(np.max(np.abs(traj.energy - traj.energy[0]))) / scale
-    lines.append(f"# max_energy_drift={_fmt(drift)}")
+    footer = [f"# max_energy_drift={drift:.17g}"]
     switch_tau = dynamics.detect_switching(traj, cfg.window)
     if switch_tau is not None:
-        lines.append(f"# switch_tau={_fmt(switch_tau)}")
-    return "\n".join(lines) + "\n"
+        footer.append(f"# switch_tau={switch_tau:.17g}")
+    columns = {name: getattr(traj, name) for name in
+               ("tau", "theta", "psi", "theta_dot", "psi_dot", "energy")}
+    columns["reduced_voltage"] = traj.theta_dot / derive(cfg.params).lambda_cap
+    return _csv(columns, *footer)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -143,24 +145,12 @@ def _escape_report(cfg: RunConfig) -> dict:
     eps = cfg.epsilon_override if cfg.epsilon_override is not None else fluct.epsilon
     corrected = escape.escape_rate_ln(cfg.params, eps)
     bare = escape.escape_rate_ln(cfg.params, 0.0)
+    report = {"epsilon": eps, "psi_variance": fluct.psi_variance}
+    for label, result in (("corrected", corrected), ("bare", bare)):
+        report.update((f"{label}_{name}", getattr(result, name))
+                      for name in _ESCAPE_FIELDS)
     ln_ratio = corrected.ln_gamma - bare.ln_gamma
-    report = {
-        "epsilon": eps,
-        "psi_variance": fluct.psi_variance,
-        "corrected_theta0": corrected.theta0,
-        "corrected_omega_p_i": corrected.omega_p_i,
-        "corrected_v0": corrected.v0,
-        "corrected_exponent_b": corrected.exponent_b,
-        "corrected_ln_prefactor": corrected.ln_prefactor,
-        "corrected_ln_gamma": corrected.ln_gamma,
-        "bare_theta0": bare.theta0,
-        "bare_omega_p_i": bare.omega_p_i,
-        "bare_v0": bare.v0,
-        "bare_exponent_b": bare.exponent_b,
-        "bare_ln_prefactor": bare.ln_prefactor,
-        "bare_ln_gamma": bare.ln_gamma,
-        "ln_ratio": ln_ratio,
-    }
+    report["ln_ratio"] = ln_ratio
     if abs(ln_ratio) < 700.0:
         report["ratio"] = math.exp(ln_ratio)
     return report
@@ -170,30 +160,9 @@ def cmd_escape(args) -> int:
     return _write_report(_escape_report(_load(args)), args.json)
 
 
-def _sweep_json_document(grid: escape.SweepGrid, eps_override) -> dict:
-    def axis_meta(axis):
-        return {"name": axis.name, "min": axis.start, "max": axis.stop,
-                "count": axis.count}
-
-    def cell(value, ok):
-        return float(value) if ok else None
-
-    values = [[cell(grid.values[i, j], grid.valid[i, j])
-               for j in range(grid.axis2.count)]
-              for i in range(grid.axis1.count)]
-    return {
-        "axis1": axis_meta(grid.axis1),
-        "axis2": axis_meta(grid.axis2),
-        "base_params": {
-            "ej1": grid.base.ej1, "ej2": grid.base.ej2, "ein": grid.base.ein,
-            "alpha1": grid.base.alpha1, "alpha2": grid.base.alpha2,
-            "kappa": grid.base.kappa, "bias": grid.base.bias,
-        },
-        "epsilon_override": eps_override,
-        "quantity": "ln_gamma_ratio",
-        "ln_ratio": values,
-        "valid": [[bool(v) for v in row] for row in grid.valid],
-    }
+def _axis_json(axis: escape.AxisSpec) -> dict:
+    return {"name": axis.name, "min": axis.start, "max": axis.stop,
+            "count": axis.count}
 
 
 def cmd_sweep(args) -> int:
@@ -201,19 +170,24 @@ def cmd_sweep(args) -> int:
     grid = escape.sweep_grid(cfg.params, cfg.axis1, cfg.axis2,
                              eps_override=cfg.epsilon_override)
     stem = args.out or cfg.out or "sweep"
-    vals1 = cfg.axis1.values()
-    vals2 = cfg.axis2.values()
-    lines = [f"{cfg.axis1.name},{cfg.axis2.name},ln_ratio,valid"]
-    for i in range(cfg.axis1.count):
-        for j in range(cfg.axis2.count):
-            lines.append(",".join((_fmt(vals1[i]), _fmt(vals2[j]),
-                                   _fmt(grid.values[i, j]),
-                                   str(int(grid.valid[i, j])))))
     csv_path = stem + ".csv"
     json_path = stem + ".json"
-    _write_text(csv_path, "\n".join(lines) + "\n")
-    document = json.dumps(_sweep_json_document(grid, cfg.epsilon_override), indent=2)
-    _write_text(json_path, document + "\n")
+    _write_text(csv_path, _csv({
+        grid.axis1.name: np.repeat(grid.axis1.values(), grid.axis2.count),
+        grid.axis2.name: np.tile(grid.axis2.values(), grid.axis1.count),
+        "ln_ratio": grid.values.ravel(),
+        "valid": grid.valid.ravel(),
+    }))
+    document = {
+        "axis1": _axis_json(grid.axis1),
+        "axis2": _axis_json(grid.axis2),
+        "base_params": asdict(grid.base),
+        "epsilon_override": cfg.epsilon_override,
+        "quantity": "ln_gamma_ratio",
+        "ln_ratio": np.where(grid.valid, grid.values, None).tolist(),
+        "valid": grid.valid.tolist(),
+    }
+    _write_text(json_path, json.dumps(document, indent=2) + "\n")
     if not grid.valid.any():
         sys.stderr.write("warning: no valid cells in the requested grid\n")
     sys.stdout.write(f"wrote {csv_path} and {json_path}\n")
@@ -291,21 +265,9 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    except InvalidAxisError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_AXIS
-    except InvalidParameterError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVARIANT
-    except NonFiniteStateError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERIC
-    except (NoBarrierError, NoEquilibriumError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NO_BARRIER
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

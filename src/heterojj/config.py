@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ConfigError, InvalidAxisError
+from .errors import ConfigError, HeterojjError, InvalidAxisError
 from .escape import AxisSpec
 from .model import JunctionParams
 
@@ -36,11 +36,6 @@ __all__ = ["RunConfig", "default_params", "default_config", "load_config", "pars
 _DIRECT_KEYS = ("ej1", "ej2", "ein")
 _RATIO_KEYS = ("ej_over_ec", "omega_ratio", "j_ratio")
 _SHARED_KEYS = ("alpha1", "alpha2", "kappa", "bias")
-_RUN_KEYS = ("dt", "n_steps", "stride", "theta0", "psi0", "theta_dot0",
-             "psi_dot0", "window", "axis1", "axis2", "out",
-             "epsilon_override", "spectrum_points", "spectrum_levels",
-             "bounce_tol")
-
 _SHARED_DEFAULTS = {"alpha1": 0.1, "alpha2": 0.1, "kappa": 1.0, "bias": 0.95}
 
 
@@ -92,22 +87,28 @@ def parse_axis(text: str) -> AxisSpec:
     return AxisSpec(name, start, stop, count)
 
 
-def _get_float(section, key: str, section_name: str) -> float:
-    raw = section[key]
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"key '{key}' in [{section_name}] is not a number: {raw!r}") from exc
+# Each [run] key and its reader, in the order the keys are read.
+_RUN_READERS = {
+    "dt": float, "theta0": float, "psi0": float, "theta_dot0": float,
+    "psi_dot0": float, "window": float, "bounce_tol": float,
+    "n_steps": int, "stride": int, "spectrum_points": int, "spectrum_levels": int,
+    "epsilon_override": float, "out": str.strip,
+    "axis1": parse_axis, "axis2": parse_axis,
+}
+_NOUNS = {float: "a number", int: "an integer"}
 
 
-def _get_int(section, key: str, section_name: str) -> int:
+def _get(section, key: str, section_name: str, kind=float):
+    """``section[key]`` read by ``kind``; a float or int that does not parse
+    is a :class:`ConfigError` naming the key."""
     raw = section[key]
     try:
-        return int(raw)
+        return kind(raw)
+    except HeterojjError:
+        raise
     except ValueError as exc:
         raise ConfigError(
-            f"key '{key}' in [{section_name}] is not an integer: {raw!r}") from exc
+            f"key '{key}' in [{section_name}] is not {_NOUNS[kind]}: {raw!r}") from exc
 
 
 def _junction_params(section) -> JunctionParams:
@@ -124,7 +125,7 @@ def _junction_params(section) -> JunctionParams:
     shared = dict(_SHARED_DEFAULTS)
     for key in _SHARED_KEYS:
         if key in keys:
-            shared[key] = _get_float(section, key, "junction")
+            shared[key] = _get(section, key, "junction")
     kappa = shared.pop("kappa")
     kappa = int(kappa) if float(kappa).is_integer() else kappa
     if direct:
@@ -132,19 +133,19 @@ def _junction_params(section) -> JunctionParams:
             if key not in keys:
                 raise ConfigError(f"missing key '{key}' in [junction] "
                                   "(direct style needs ej1, ej2, ein)")
-        return JunctionParams(ej1=_get_float(section, "ej1", "junction"),
-                              ej2=_get_float(section, "ej2", "junction"),
-                              ein=_get_float(section, "ein", "junction"),
+        return JunctionParams(ej1=_get(section, "ej1", "junction"),
+                              ej2=_get(section, "ej2", "junction"),
+                              ein=_get(section, "ein", "junction"),
                               kappa=kappa, **shared)
     if ratio:
         for key in ("ej_over_ec", "omega_ratio"):
             if key not in keys:
                 raise ConfigError(f"missing key '{key}' in [junction] "
                                   "(ratio style needs ej_over_ec and omega_ratio)")
-        j_ratio = _get_float(section, "j_ratio", "junction") if "j_ratio" in keys else 1.0
+        j_ratio = _get(section, "j_ratio", "junction") if "j_ratio" in keys else 1.0
         return JunctionParams.from_ratios(
-            _get_float(section, "ej_over_ec", "junction"),
-            _get_float(section, "omega_ratio", "junction"),
+            _get(section, "ej_over_ec", "junction"),
+            _get(section, "omega_ratio", "junction"),
             j_ratio, kappa=kappa, **shared)
     raise ConfigError("missing key 'ein' in [junction]: provide ej1/ej2/ein "
                       "or ej_over_ec/omega_ratio")
@@ -176,25 +177,10 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("missing [junction] section")
     params = _junction_params(parser["junction"])
 
-    options: dict = {"params": params}
-    if "run" in parser:
-        run = parser["run"]
-        unknown = set(run.keys()) - set(_RUN_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in [run]")
-        for key in ("dt", "theta0", "psi0", "theta_dot0", "psi_dot0",
-                    "window", "bounce_tol"):
-            if key in run:
-                options[key] = _get_float(run, key, "run")
-        for key in ("n_steps", "stride", "spectrum_points", "spectrum_levels"):
-            if key in run:
-                options[key] = _get_int(run, key, "run")
-        if "epsilon_override" in run:
-            options["epsilon_override"] = _get_float(run, "epsilon_override", "run")
-        if "out" in run:
-            options["out"] = run["out"].strip()
-        if "axis1" in run:
-            options["axis1"] = parse_axis(run["axis1"])
-        if "axis2" in run:
-            options["axis2"] = parse_axis(run["axis2"])
-    return RunConfig(**options)
+    run = parser["run"] if "run" in parser else {}
+    unknown = set(run) - set(_RUN_READERS)
+    if unknown:
+        raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in [run]")
+    options = {key: _get(run, key, "run", kind)
+               for key, kind in _RUN_READERS.items() if key in run}
+    return RunConfig(params=params, **options)

@@ -143,7 +143,11 @@ def zero_point_variance(params: JunctionParams) -> float:
     1/(2 m_rlt omega_JL) for the harmonic Leggett well.  The mean <psi>
     vanishes at T = 0.  Broadcasts like :func:`heterojj.model.derive`.
     """
-    return (params.alpha1 + params.alpha2) / derive(params).omega_jl
+    with np.errstate(divide="ignore"):
+        # np.divide, not /: an omega_JL that underflows to 0 gives inf here
+        # instead of a ZeroDivisionError from Python floats
+        var = np.divide(params.alpha1 + params.alpha2, derive(params).omega_jl)
+    return var.item() if isinstance(var, np.generic) else var
 
 
 def epsilon(params: JunctionParams) -> FluctuationRenorm:
@@ -155,8 +159,9 @@ def epsilon(params: JunctionParams) -> FluctuationRenorm:
     scales = derive(params)
     var = zero_point_variance(params)
     eps = scales.g_plus * var
-    eps_ratio = (scales.g_plus / math.sqrt(2.0)) * (params.alpha1 + params.alpha2) \
-        * (scales.omega_p / scales.omega_jl) * np.sqrt(1.0 / scales.ej_sum)
+    with np.errstate(all="ignore"):
+        eps_ratio = (scales.g_plus / math.sqrt(2.0)) * (params.alpha1 + params.alpha2) \
+            * np.divide(scales.omega_p, scales.omega_jl) * np.sqrt(1.0 / scales.ej_sum)
     return record(FluctuationRenorm, psi_variance=var, epsilon=eps,
                   epsilon_from_ratio=eps_ratio, valid=eps < 1.0,
                   strained=eps > EPSILON_STRAIN_THRESHOLD)
@@ -187,19 +192,23 @@ def _instanton(omega_p, bias, eps) -> EscapeResult:
     is the barrier height omega_p_i^2 cot^2(theta0)/3 (here evaluated as
     omega_p_i^2 u / (3 bias^2) with u = (1-eps)^2 - bias^2, the same closed
     form without re-entering trig functions).  No domain checks: outside
-    0 < bias < 1 - eps the fields are NaN or meaningless.
+    0 < bias < 1 - eps the fields are NaN or meaningless, and a result that
+    overflows double precision is inf or NaN.
     """
     theta0 = np.arcsin(bias / (1.0 - eps))
     # factored form of (1-eps)^2 - bias^2: no cancellation near critical tilt
     u = (1.0 - eps - bias) * (1.0 - eps + bias)
     omega_p_i = omega_p * u ** 0.25
-    v0 = omega_p_i * omega_p_i * u / (3.0 * bias * bias)
-    exponent_b = 36.0 * v0 / (5.0 * omega_p_i)
-    ln_prefactor = (math.log(12.0) + np.log(omega_p_i)
-                    + 0.5 * np.log(3.0 * v0 / (2.0 * math.pi * omega_p_i)))
-    return record(EscapeResult, omega_p_i=omega_p_i, theta0=theta0, v0=v0,
-                  exponent_b=exponent_b, ln_prefactor=ln_prefactor,
-                  ln_gamma=ln_prefactor - exponent_b, eps=eps)
+    with np.errstate(all="ignore"):
+        # np.divide, not /: a bias whose square underflows to 0 gives inf
+        # here instead of a ZeroDivisionError from Python floats
+        v0 = np.divide(omega_p_i * omega_p_i * u, 3.0 * bias * bias)
+        exponent_b = 36.0 * v0 / (5.0 * omega_p_i)
+        ln_prefactor = (math.log(12.0) + np.log(omega_p_i)
+                        + 0.5 * np.log(3.0 * v0 / (2.0 * math.pi * omega_p_i)))
+        return record(EscapeResult, omega_p_i=omega_p_i, theta0=theta0, v0=v0,
+                      exponent_b=exponent_b, ln_prefactor=ln_prefactor,
+                      ln_gamma=ln_prefactor - exponent_b, eps=eps)
 
 
 def escape_rate_ln(params: JunctionParams, eps: float) -> EscapeResult:
@@ -274,9 +283,11 @@ def sweep_grid(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec,
     if axis1.name == axis2.name:
         raise InvalidAxisError(f"axes must differ, both are {axis1.name!r}")
     axes = {axis1.name: axis1.values()[:, None], axis2.name: axis2.values()[None, :]}
+    # a fixed bias is a numpy scalar: past the tilt the fourth root of
+    # (1-eps)^2 - bias^2 is then NaN, where a Python float's would be complex
     cell = SimpleNamespace(ej1=base.ej1, ej2=base.ej2, ein=base.ein,
-                           alpha1=base.alpha1, alpha2=base.alpha2,
-                           kappa=base.kappa, bias=axes.get("bias", base.bias))
+                           alpha1=base.alpha1, alpha2=base.alpha2, kappa=base.kappa,
+                           bias=axes.get("bias", np.float64(base.bias)))
     with np.errstate(all="ignore"):
         if "alpha" in axes:
             cell.alpha1 = cell.alpha2 = axes["alpha"]

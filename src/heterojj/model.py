@@ -102,7 +102,12 @@ class JunctionParams:
         ej1 = ej_over_ec * j_ratio / (1.0 + j_ratio)
         ej2 = ej_over_ec / (1.0 + j_ratio)
         # omega_JL = omega_P / ratio with omega_P^2 = 2(ej1+ej2)
-        ein = ej_over_ec / ((alpha1 + alpha2) * omega_ratio * omega_ratio)
+        denominator = (alpha1 + alpha2) * omega_ratio * omega_ratio
+        if denominator == 0.0:
+            raise InvalidParameterError(
+                f"omega_ratio={omega_ratio!r} is too small: (alpha1 + alpha2) "
+                "omega_ratio^2 underflows to 0, so ein cannot be solved")
+        ein = ej_over_ec / denominator
         return cls(ej1=ej1, ej2=ej2, ein=ein, alpha1=alpha1, alpha2=alpha2,
                    kappa=kappa, bias=bias)
 
@@ -154,7 +159,8 @@ def derive(params: JunctionParams) -> DerivedScales:
     a1 = params.alpha1 / s
     a2 = params.alpha2 / s
     ej_sum = params.ej1 + params.ej2
-    g_plus = (params.ej1 / (2.0 * ej_sum)) * a1 * a1 + (params.ej2 / (2.0 * ej_sum)) * a2 * a2
+    # halved last: 2 * ej_sum would overflow for ej_sum above ~9e307
+    g_plus = 0.5 * ((params.ej1 / ej_sum) * a1 * a1 + (params.ej2 / ej_sum) * a2 * a2)
     g_minus = (params.ej1 / ej_sum) * a1 - (params.ej2 / ej_sum) * a2
     return record(
         DerivedScales,

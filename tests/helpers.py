@@ -1,6 +1,9 @@
 """Shared test utilities."""
 
+import contextlib
+import io
 import math
+import os
 
 import numpy as np
 
@@ -39,3 +42,19 @@ def random_params(rng, bias_range=(0.0, 0.0), kappa_choices=(1,)):
         kappa=int(rng.choice(kappa_choices)),
         bias=float(rng.uniform(*bias_range)),
     )
+
+
+def run_cli(argv, workdir):
+    """Exit code, stdout and stderr of ``heterojj.cli.main(argv)`` run with
+    ``workdir`` as the working directory."""
+    from heterojj.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()

@@ -1,0 +1,87 @@
+"""Byte-for-byte comparison of CLI output with committed golden files.
+
+Each case runs ``main(argv)`` in an empty working directory and collects
+its exit code, stdout, stderr and every file it writes.  The golden files
+under ``tests/data/golden/`` are named ``<case>.<stream>`` (``stdout``,
+``stderr`` or the name of the written file); empty streams have none.
+
+The golden files change only with a deliberate change of the output
+format or of the numbers.  Regenerate them with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and review the diff before committing it.
+"""
+
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from helpers import run_cli
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+# (case, argv, exit code); "@name" is the config file GOLDEN / name
+CASES = [
+    ("derive-default", ["derive"], 0),
+    ("derive-default-json", ["derive", "--json"], 0),
+    ("escape-default", ["escape"], 0),
+    ("escape-default-json", ["escape", "--json"], 0),
+    ("derive-asym", ["derive", "--config", "@asym.cfg"], 0),
+    ("derive-asym-json", ["derive", "--json", "--config", "@asym.cfg"], 0),
+    ("escape-asym", ["escape", "--config", "@asym.cfg"], 0),
+    ("escape-asym-json", ["escape", "--json", "--config", "@asym.cfg"], 0),
+    ("escape-override", ["escape", "--config", "@override.cfg"], 0),
+    ("escape-critical", ["escape", "--config", "@critical.cfg"], 5),
+    ("derive-overflow", ["derive", "--config", "@overflow.cfg"], 4),
+    ("simulate-ref-stride1", ["simulate", "--config", "@ref.cfg"], 0),
+    ("simulate-ref-stride7", ["simulate", "--config", "@ref.cfg", "--stride", "7"], 0),
+    ("simulate-asym-stride1", ["simulate", "--config", "@asym.cfg"], 0),
+    ("simulate-asym-stride7", ["simulate", "--config", "@asym.cfg", "--stride", "7"], 0),
+    ("simulate-tilt", ["simulate", "--config", "@tilt.cfg", "--out", "run.csv"], 0),
+    ("sweep-ref", ["sweep", "--config", "@ref.cfg", "--out", "grid"], 0),
+    ("sweep-asym", ["sweep", "--config", "@asym.cfg", "--out", "grid"], 0),
+    ("sweep-override", ["sweep", "--config", "@override.cfg", "--out", "grid"], 0),
+]
+
+
+def run_case(argv, workdir):
+    """Exit code and {stream: bytes} of ``main(argv)`` run inside ``workdir``."""
+    argv = [str(GOLDEN / a[1:]) if a.startswith("@") else a for a in argv]
+    code, out, err = run_cli(argv, workdir)
+    streams = {"stdout": out.encode(), "stderr": err.encode()}
+    streams.update((p.name, p.read_bytes()) for p in Path(workdir).iterdir())
+    return code, {name: data for name, data in streams.items() if data}
+
+
+def golden_streams(case):
+    return {p.name[len(case) + 1:]: p.read_bytes()
+            for p in GOLDEN.glob(f"{case}.*")}
+
+
+@pytest.mark.parametrize("case,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_output_matches_golden(tmp_path, case, argv, code):
+    got_code, streams = run_case(argv, tmp_path)
+    assert got_code == code
+    expected = golden_streams(case)
+    assert sorted(streams) == sorted(expected)
+    for name, data in expected.items():
+        assert streams[name] == data, f"{case}.{name} differs from the golden file"
+
+
+def regenerate():
+    for case, argv, code in CASES:
+        for stale in golden_streams(case):
+            (GOLDEN / f"{case}.{stale}").unlink()
+        with tempfile.TemporaryDirectory() as workdir:
+            got_code, streams = run_case(argv, workdir)
+        if got_code != code:
+            sys.exit(f"{case}: exit {got_code}, expected {code}")
+        for name, data in streams.items():
+            (GOLDEN / f"{case}.{name}").write_bytes(data)
+
+
+if __name__ == "__main__":
+    regenerate()

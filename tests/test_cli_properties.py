@@ -1,0 +1,89 @@
+"""Property test: every generated config ends with a documented exit code.
+
+Config files in both [junction] styles are drawn with values that include
+0, negative numbers, NaN, infinities, 1e308 and the smallest subnormal,
+plus an optional epsilon_override and sweep axes of at most 20 points.
+``derive``, ``escape`` and ``sweep`` must exit 0, 2, 3, 4, 5 or 6 without
+an exception escaping ``main``, and a report printed with exit 0 holds no
+NaN or infinity.  ``simulate`` is not run: its ``n_steps`` is unbounded.
+"""
+
+import math
+import os
+import re
+import tempfile
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from heterojj.escape import AXIS_NAMES
+from helpers import run_cli
+
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6}
+
+EXTREMES = [0.0, -0.0, -1.0, -1e308, math.nan, math.inf, -math.inf, 1e308,
+            5e-324, 1.0]
+# one value in ten is extreme (or any double), so that most configs get past
+# the parameter checks into the numerics
+
+
+def mostly(typical):
+    extreme = st.one_of(st.sampled_from(EXTREMES), st.floats())
+    return st.integers(0, 9).flatmap(lambda i: extreme if i == 0 else typical)
+
+
+values = mostly(st.floats(min_value=1e-3, max_value=1e3))
+biases = mostly(st.floats(min_value=0.0, max_value=1.2))
+kappas = st.sampled_from(["1", "-1", "+1", "1", "-1", "0", "2", "1.5", "nan",
+                          "inf", "5e-324"])
+
+
+def optional(keys, strategy):
+    return st.fixed_dictionaries({}, optional={k: strategy for k in keys})
+
+
+@st.composite
+def config_text(draw):
+    if draw(st.booleans()):
+        junction = draw(st.fixed_dictionaries(
+            {"ej1": values, "ej2": values, "ein": values}))
+    else:
+        junction = draw(st.fixed_dictionaries(
+            {"ej_over_ec": values, "omega_ratio": values},
+            optional={"j_ratio": values}))
+    junction.update(draw(optional(["alpha1", "alpha2"], values)))
+    junction.update(draw(optional(["bias"], biases)))
+    junction.update(draw(optional(["kappa"], kappas)))
+    run = draw(optional(["epsilon_override"], values))
+    names = draw(st.lists(st.sampled_from(AXIS_NAMES), min_size=2, max_size=2))
+    for i, name in enumerate(names, 1):
+        start, stop = sorted(draw(biases if name == "bias" else values) for _ in "ab")
+        run[f"axis{i}"] = f"{name}:{start!r}:{stop!r}:{draw(st.integers(0, 20))}"
+    lines = ["[junction]", *(f"{k} = {v}" for k, v in junction.items()),
+             "[run]", *(f"{k} = {v}" for k, v in run.items())]
+    return "\n".join(lines) + "\n"
+
+
+# derandomized: the suite draws the same 150 configs on every run
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=config_text())
+@example(text="[junction]\nej_over_ec = 1e308\nomega_ratio = 2\nbias = 0.9\n")
+# omega_ratio^2 underflowed to 0 in from_ratios: ZeroDivisionError, exit 1
+@example(text="[junction]\nej_over_ec = 1e308\nomega_ratio = 5e-324\n")
+# bias^2 underflowed to 0 in the barrier height: ZeroDivisionError, exit 1
+@example(text="[junction]\nej_over_ec = 1.0\nomega_ratio = 1.0\n"
+              "bias = 6.946984481627348e-208\n")
+# omega_JL underflowed to 0 in <psi^2> = (alpha1 + alpha2)/omega_JL: exit 1
+@example(text="[junction]\nej1 = 1.0\nej2 = 1.0\nein = 5e-324\n")
+def test_every_config_maps_to_a_documented_exit_code(text):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "gen.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for argv in (["derive"], ["derive", "--json"], ["escape"], ["escape", "--json"],
+                     ["sweep", "--out", "grid"]):
+            code, out, _ = run_cli(argv + ["--config", path], workdir)
+            assert code in DOCUMENTED_EXITS, (argv, code)
+            if code == 0:
+                assert not re.search(r"nan|inf", out, re.IGNORECASE), (argv, out)

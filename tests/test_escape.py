@@ -331,6 +331,20 @@ def test_sweep_flags_non_positive_omega_ratio():
         enhancement_ratio_ln(ref_point_at(0.95, 1.0)), rel=1e-12)
 
 
+def test_sweep_past_tilt_at_fixed_bias_and_eps_stays_real():
+    # neither axis moves bias or eps, so (1-eps)^2 - bias^2 < 0 is one number
+    # for the whole grid; its fourth root must not turn the grid complex
+    grid = sweep_grid(REF_POINT, AxisSpec("alpha", 0.05, 0.2, 3),
+                      AxisSpec("ej_over_ec", 50.0, 150.0, 3), eps_override=0.1)
+    assert grid.values.dtype == np.float64
+    assert not grid.valid.any() and np.isnan(grid.values).all()
+    below = sweep_grid(REF_POINT, AxisSpec("alpha", 0.05, 0.2, 3),
+                       AxisSpec("ej_over_ec", 50.0, 150.0, 3), eps_override=0.02)
+    assert below.valid.all()
+    assert below.values[1, 1] == enhancement_ratio_ln(
+        REF_POINT.replace(alpha1=0.125, alpha2=0.125), eps_override=0.02)
+
+
 def _reference_cell(base, assignments):
     """One sweep cell built as explicit JunctionParams, omega_ratio last."""
     p = base

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from heterojj import (InvalidParameterError, JunctionParams, combine_phases,
-                      derive, potential, potential_gradient, potential_hessian,
-                      split_phases)
+                      derive, epsilon, potential, potential_gradient,
+                      potential_hessian, split_phases)
 from helpers import random_params
 
 SYMMETRIC = JunctionParams(ej1=50.0, ej2=50.0, ein=125.0, alpha1=0.1, alpha2=0.1)
@@ -89,6 +89,14 @@ def test_g_minus_vanishes_iff_balanced():
     assert abs(derive(p).g_minus) < 1e-15
     p = JunctionParams(ej1=30.0, ej2=60.0, ein=10.0, alpha1=0.2, alpha2=0.15)
     assert abs(derive(p).g_minus) > 1e-3
+
+
+def test_g_plus_survives_ej_sum_near_overflow():
+    # 2 E_J overflows above ~9e307; g_plus and eps must not fall to 0 there
+    p = JunctionParams.from_ratios(1e308, 2.0, 1.0, 0.1, 0.1, 1, 0.9)
+    assert derive(p).g_plus == 0.125
+    fluct = epsilon(p)
+    assert fluct.epsilon == 0.125 * fluct.psi_variance
 
 
 def test_derived_scale_invariants_random():
