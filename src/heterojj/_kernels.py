@@ -1,25 +1,15 @@
-"""Time-stepping kernel with optional JIT compilation.
+"""Time-stepping kernel of the coupled phase equations.
 
-The fixed-step integrator is the only hot inner loop in the package.  One
-source function provides both execution paths: when numba can be imported
-it is compiled with ``@njit`` (cached on disk), otherwise it runs as plain
-Python with identical arithmetic.  numba is an optional extra
-(``pip install heterojj[numba]``).
+The fixed-step integrator is the only hot inner loop in the package.  It is
+plain Python over scalars; it uses no numpy.
 """
 
 import math
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-
-def _rk4_washboard(theta, psi, theta_dot, psi_dot, dt, n_steps, stride,
-                   lam, w1sq, w2sq, tilt_force, kappa_wjl_sq, a1, a2, c1, c2,
-                   out):
+def rk4_step_loop(theta, psi, theta_dot, psi_dot, dt, n_steps, stride,
+                  lam, w1sq, w2sq, tilt_force, kappa_wjl_sq, a1, a2, c1, c2,
+                  out):
     """Classic 4th-order fixed-step run of the coupled phase equations.
 
     Coefficients: lam is the capacitive renormalization Lambda, w1sq/w2sq the
@@ -81,12 +71,6 @@ def _rk4_washboard(theta, psi, theta_dot, psi_dot, dt, n_steps, stride,
     return -1
 
 
-rk4_python = _rk4_washboard
-rk4_numba = njit(cache=True)(_rk4_washboard) if HAVE_NUMBA else None
-rk4_step_loop = rk4_numba if HAVE_NUMBA else rk4_python
-
-
 def active_backend() -> str:
-    """Kernel in use: "numba" for the compiled kernel, or "python" for the
-    same source run by the interpreter (it uses no numpy)."""
-    return "numba" if HAVE_NUMBA else "python"
+    """Kernel in use: always "python", the interpreted :func:`rk4_step_loop`."""
+    return "python"

@@ -108,15 +108,13 @@ def _simulate_csv(cfg: RunConfig, stride: int):
                                   cfg.theta_dot0, cfg.psi_dot0)
     traj = dynamics.integrate(initial, cfg.dt, cfg.n_steps, cfg.params,
                               stride=stride)
-    scale = abs(traj.energy[0]) or 1.0
-    drift = float(np.max(np.abs(traj.energy - traj.energy[0]))) / scale
-    footer = [f"# max_energy_drift={drift:.17g}"]
+    footer = [f"# max_energy_drift={traj.energy_drift():.17g}"]
     switch_tau = dynamics.detect_switching(traj, cfg.window)
     if switch_tau is not None:
         footer.append(f"# switch_tau={switch_tau:.17g}")
     columns = {name: getattr(traj, name) for name in
                ("tau", "theta", "psi", "theta_dot", "psi_dot", "energy")}
-    columns["reduced_voltage"] = traj.theta_dot / derive(cfg.params).lambda_cap
+    columns["reduced_voltage"] = dynamics.reduced_voltage(traj, cfg.params)
     return _csv(columns, *footer)
 
 

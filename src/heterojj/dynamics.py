@@ -82,19 +82,17 @@ class Trajectory:
                           float(self.theta_dot[i]), float(self.psi_dot[i]),
                           float(self.tau[i]))
 
+    def energy_drift(self) -> float:
+        """Largest |energy - energy[0]| over the samples, relative to
+        |energy[0]| (absolute when the initial energy is 0)."""
+        drift = float(np.max(np.abs(self.energy - self.energy[0])))
+        return drift / (abs(self.energy[0]) or 1.0)
 
-def _kernel_coeffs(params: JunctionParams) -> tuple:
-    scales = model.derive(params)
-    s = params.alpha1 + params.alpha2
-    return (scales.lambda_cap,
-            2.0 * params.ej1,
-            2.0 * params.ej2,
-            2.0 * scales.ej_tilt * params.bias,
-            params.kappa * 2.0 * s * params.ein,
-            params.alpha1 / s,
-            params.alpha2 / s,
-            2.0 * params.alpha1 * params.ej1,
-            2.0 * params.alpha2 * params.ej2)
+
+def _inverse_mass(params: JunctionParams) -> Tuple[float, float]:
+    """Diagonal inverse mass matrix (2 Lambda, 2 (alpha1+alpha2)) of (theta, psi)."""
+    # theta's mass 1/(2 Lambda) differs from the escape chain's m_cm = 1/2
+    return 2.0 * model.derive(params).lambda_cap, 2.0 * model.channel_weights(params)[0]
 
 
 def acceleration(state: PhaseState, params: JunctionParams) -> Tuple[float, float]:
@@ -105,8 +103,8 @@ def acceleration(state: PhaseState, params: JunctionParams) -> Tuple[float, floa
     inside the integration kernel.
     """
     dv_dtheta, dv_dpsi = model.potential_gradient(state.theta, state.psi, params)
-    lam = model.derive(params).lambda_cap
-    return -2.0 * lam * dv_dtheta, -2.0 * (params.alpha1 + params.alpha2) * dv_dpsi
+    inv_theta, inv_psi = _inverse_mass(params)
+    return -inv_theta * dv_dtheta, -inv_psi * dv_dpsi
 
 
 def integrate(initial: PhaseState, dt: float, n_steps: int,
@@ -127,6 +125,9 @@ def integrate(initial: PhaseState, dt: float, n_steps: int,
 
     Raises
     ------
+    InvalidParameterError
+        If the output buffer for ``n_steps // stride + 1`` rows cannot be
+        allocated.
     NonFiniteStateError
         If any step produces a non-finite state (reports the step index).
     """
@@ -136,19 +137,25 @@ def integrate(initial: PhaseState, dt: float, n_steps: int,
         raise InvalidParameterError(f"n_steps must be >= 1, got {n_steps!r}")
     if stride < 1:
         raise InvalidParameterError(f"stride must be >= 1, got {stride!r}")
-    coeffs = _kernel_coeffs(params)
-    out = np.empty((n_steps // stride + 1, 4))
-    bad_step = _kernels.rk4_step_loop(initial.theta, initial.psi,
-                                      initial.theta_dot, initial.psi_dot,
-                                      dt, n_steps, stride, *coeffs, out)
+    inv_theta, inv_psi = _inverse_mass(params)
+    try:
+        out = np.empty((n_steps // stride + 1, 4))
+    except (MemoryError, ValueError) as exc:  # numpy: "array is too big"
+        raise InvalidParameterError(
+            f"n_steps={n_steps!r} at stride={stride!r} needs a trajectory buffer "
+            f"that cannot be allocated ({exc})") from exc
+    s, a1, a2, ej_tilt = model.channel_weights(params)
+    bad_step = _kernels.rk4_step_loop(
+        initial.theta, initial.psi, initial.theta_dot, initial.psi_dot, dt, n_steps, stride,
+        0.5 * inv_theta, 2.0 * params.ej1, 2.0 * params.ej2, 2.0 * ej_tilt * params.bias,
+        params.kappa * 2.0 * s * params.ein, a1, a2,
+        2.0 * params.alpha1 * params.ej1, 2.0 * params.alpha2 * params.ej2, out)
     if bad_step >= 0:
         raise NonFiniteStateError(int(bad_step))
     tau = initial.tau + (dt * stride) * np.arange(out.shape[0])
     theta, psi = out[:, 0], out[:, 1]
     theta_dot, psi_dot = out[:, 2], out[:, 3]
-    s = params.alpha1 + params.alpha2
-    lam = coeffs[0]
-    kinetic = theta_dot ** 2 / (4.0 * lam) + psi_dot ** 2 / (4.0 * s)
+    kinetic = theta_dot ** 2 / (2.0 * inv_theta) + psi_dot ** 2 / (2.0 * inv_psi)
     energy = kinetic + model.potential(theta, psi, params)
     return Trajectory(tau=tau, theta=theta, psi=psi, theta_dot=theta_dot,
                       psi_dot=psi_dot, energy=energy, params=params,
@@ -241,8 +248,7 @@ def small_oscillation_frequencies(params: JunctionParams) -> Tuple[float, float]
     """
     theta_star, psi_star = equilibrium(params)
     hess = model.potential_hessian(theta_star, psi_star, params)
-    lam = model.derive(params).lambda_cap
-    d = np.sqrt([2.0 * lam, 2.0 * (params.alpha1 + params.alpha2)])
+    d = np.sqrt(_inverse_mass(params))
     w2 = np.linalg.eigvalsh(hess * np.outer(d, d))
     if w2[0] <= 0.0:
         raise NoEquilibriumError("equilibrium is not stable (negative mode)")
@@ -253,9 +259,10 @@ def reduced_voltage(state: PhaseState, params: JunctionParams) -> float:
     """Reduced junction voltage 2 e v / hbar = theta_dot / Lambda.
 
     Only the center-of-mass phase couples to the voltage; relative-phase
-    motion contributes nothing.
+    motion contributes nothing.  A :class:`Trajectory` as ``state`` gives
+    the voltage of every sample as an array.
     """
-    return state.theta_dot / model.derive(params).lambda_cap
+    return state.theta_dot / (0.5 * _inverse_mass(params)[0])
 
 
 def detect_switching(trajectory: Trajectory,

@@ -37,7 +37,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InvalidAxisError, InvalidParameterError, NoBarrierError
-from .model import JunctionParams, derive, record
+from .model import JunctionParams, channel_weights, derive, record
 
 __all__ = [
     "FluctuationRenorm",
@@ -106,8 +106,11 @@ class AxisSpec:
                 f"unknown axis name {self.name!r}; expected one of {AXIS_NAMES}")
         if self.count < 2:
             raise InvalidAxisError(f"axis {self.name!r} needs count >= 2, got {self.count}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise InvalidAxisError(f"axis {self.name!r} range must be finite")
+        # stop - start is what np.linspace steps by: it must not overflow
+        if not math.isfinite(self.stop - self.start):
+            raise InvalidAxisError(
+                f"axis {self.name!r} range and its span must be finite: "
+                f"[{self.start}, {self.stop}]")
         if not (self.start < self.stop):
             raise InvalidAxisError(
                 f"axis {self.name!r} range is inverted or empty: "
@@ -146,7 +149,7 @@ def zero_point_variance(params: JunctionParams) -> float:
     with np.errstate(divide="ignore"):
         # np.divide, not /: an omega_JL that underflows to 0 gives inf here
         # instead of a ZeroDivisionError from Python floats
-        var = np.divide(params.alpha1 + params.alpha2, derive(params).omega_jl)
+        var = np.divide(channel_weights(params)[0], derive(params).omega_jl)
     return var.item() if isinstance(var, np.generic) else var
 
 
@@ -160,7 +163,7 @@ def epsilon(params: JunctionParams) -> FluctuationRenorm:
     var = zero_point_variance(params)
     eps = scales.g_plus * var
     with np.errstate(all="ignore"):
-        eps_ratio = (scales.g_plus / math.sqrt(2.0)) * (params.alpha1 + params.alpha2) \
+        eps_ratio = (scales.g_plus / math.sqrt(2.0)) * channel_weights(params)[0] \
             * np.divide(scales.omega_p, scales.omega_jl) * np.sqrt(1.0 / scales.ej_sum)
     return record(FluctuationRenorm, psi_variance=var, epsilon=eps,
                   epsilon_from_ratio=eps_ratio, valid=eps < 1.0,
@@ -279,9 +282,13 @@ def sweep_grid(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec,
     same array-valued chain as the point functions.  Cells where the
     parameters are invalid (omega_ratio <= 0 included) or the barrier is
     gone are flagged invalid (NaN value) without affecting their neighbors.
+    A finite ``eps_override`` outside [0, 1) makes every cell invalid; a
+    non-finite one raises InvalidParameterError.
     """
     if axis1.name == axis2.name:
         raise InvalidAxisError(f"axes must differ, both are {axis1.name!r}")
+    if eps_override is not None and not math.isfinite(eps_override):
+        raise InvalidParameterError(f"epsilon override must be finite, got {eps_override!r}")
     axes = {axis1.name: axis1.values()[:, None], axis2.name: axis2.values()[None, :]}
     # a fixed bias is a numpy scalar: past the tilt the fourth root of
     # (1-eps)^2 - bias^2 is then NaN, where a Python float's would be complex
@@ -299,7 +306,7 @@ def sweep_grid(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec,
             ratio = axes["omega_ratio"]
             # no positive ein solves a ratio <= 0; NaN marks those cells invalid
             cell.ein = np.where(ratio > 0.0, (cell.ej1 + cell.ej2)
-                                / ((cell.alpha1 + cell.alpha2) * ratio * ratio), np.nan)
+                                / (channel_weights(cell)[0] * ratio * ratio), np.nan)
         eps = epsilon(cell).epsilon if eps_override is None else eps_override
         omega_p = derive(cell).omega_p
         ln_ratio = (_instanton(omega_p, cell.bias, eps).ln_gamma

@@ -138,6 +138,18 @@ class DerivedScales:
     g_minus: float
 
 
+def channel_weights(params: JunctionParams) -> tuple:
+    """(alpha1 + alpha2, a1, a2, ej_tilt) of a parameter set.
+
+    The weights a_i = alpha_i/(alpha1+alpha2) carry psi into the channel
+    phases, theta1 = theta + a1 psi and theta2 = theta - a2 psi;
+    ej_tilt = |E_J1 + kappa E_J2| scales the bias tilt.  Broadcasts like
+    :func:`derive` over array-valued fields.
+    """
+    s = params.alpha1 + params.alpha2
+    return s, params.alpha1 / s, params.alpha2 / s, abs(params.ej1 + params.kappa * params.ej2)
+
+
 def derive(params: JunctionParams) -> DerivedScales:
     """Compute all derived scales for a parameter set.
 
@@ -155,9 +167,7 @@ def derive(params: JunctionParams) -> DerivedScales:
     them); every scale is then an array.  A :class:`JunctionParams` gives
     Python floats.
     """
-    s = params.alpha1 + params.alpha2
-    a1 = params.alpha1 / s
-    a2 = params.alpha2 / s
+    s, a1, a2, ej_tilt = channel_weights(params)
     ej_sum = params.ej1 + params.ej2
     # halved last: 2 * ej_sum would overflow for ej_sum above ~9e307
     g_plus = 0.5 * ((params.ej1 / ej_sum) * a1 * a1 + (params.ej2 / ej_sum) * a2 * a2)
@@ -166,7 +176,7 @@ def derive(params: JunctionParams) -> DerivedScales:
         DerivedScales,
         lambda_cap=1.0 + params.alpha1 * params.alpha2 / s,
         ej_sum=ej_sum,
-        ej_tilt=abs(params.ej1 + params.kappa * params.ej2),
+        ej_tilt=ej_tilt,
         omega_p=np.sqrt(2.0 * ej_sum),
         omega_p1=np.sqrt(2.0 * params.ej1),
         omega_p2=np.sqrt(2.0 * params.ej2),
@@ -188,18 +198,14 @@ def record(cls, **fields):
 
 def split_phases(theta, psi, params: JunctionParams):
     """Map (theta, psi) to the per-channel phases (theta1, theta2)."""
-    s = params.alpha1 + params.alpha2
-    theta1 = theta + (params.alpha1 / s) * psi
-    theta2 = theta - (params.alpha2 / s) * psi
-    return theta1, theta2
+    _, a1, a2, _ = channel_weights(params)
+    return theta + a1 * psi, theta - a2 * psi
 
 
 def combine_phases(theta1, theta2, params: JunctionParams):
     """Map per-channel phases back to (theta, psi); inverse of split_phases."""
-    s = params.alpha1 + params.alpha2
-    theta = (params.alpha2 / s) * theta1 + (params.alpha1 / s) * theta2
-    psi = theta1 - theta2
-    return theta, psi
+    _, a1, a2, _ = channel_weights(params)
+    return a2 * theta1 + a1 * theta2, theta1 - theta2
 
 
 def potential(theta, psi, params: JunctionParams):
@@ -212,7 +218,7 @@ def potential(theta, psi, params: JunctionParams):
     wrapped; theta may grow without bound.
     """
     theta1, theta2 = split_phases(theta, psi, params)
-    ej_tilt = abs(params.ej1 + params.kappa * params.ej2)
+    ej_tilt = channel_weights(params)[3]
     return (-params.ej1 * np.cos(theta1)
             - params.ej2 * np.cos(theta2)
             - params.kappa * params.ein * np.cos(psi)
@@ -221,14 +227,9 @@ def potential(theta, psi, params: JunctionParams):
 
 def potential_gradient(theta, psi, params: JunctionParams):
     """Analytic partials (dV/dtheta, dV/dpsi) of :func:`potential`."""
-    s = params.alpha1 + params.alpha2
-    a1 = params.alpha1 / s
-    a2 = params.alpha2 / s
-    theta1 = theta + a1 * psi
-    theta2 = theta - a2 * psi
-    s1 = np.sin(theta1)
-    s2 = np.sin(theta2)
-    ej_tilt = abs(params.ej1 + params.kappa * params.ej2)
+    _, a1, a2, ej_tilt = channel_weights(params)
+    s1 = np.sin(theta + a1 * psi)
+    s2 = np.sin(theta - a2 * psi)
     dv_dtheta = params.ej1 * s1 + params.ej2 * s2 - ej_tilt * params.bias
     dv_dpsi = params.ej1 * a1 * s1 - params.ej2 * a2 * s2 + params.kappa * params.ein * np.sin(psi)
     return dv_dtheta, dv_dpsi
@@ -236,13 +237,9 @@ def potential_gradient(theta, psi, params: JunctionParams):
 
 def potential_hessian(theta: float, psi: float, params: JunctionParams) -> np.ndarray:
     """Analytic 2x2 Hessian of :func:`potential` at a point."""
-    s = params.alpha1 + params.alpha2
-    a1 = params.alpha1 / s
-    a2 = params.alpha2 / s
-    theta1 = theta + a1 * psi
-    theta2 = theta - a2 * psi
-    c1 = math.cos(theta1)
-    c2 = math.cos(theta2)
+    _, a1, a2, _ = channel_weights(params)
+    c1 = math.cos(theta + a1 * psi)
+    c2 = math.cos(theta - a2 * psi)
     vtt = params.ej1 * c1 + params.ej2 * c2
     vtp = params.ej1 * a1 * c1 - params.ej2 * a2 * c2
     vpp = (params.ej1 * a1 * a1 * c1 + params.ej2 * a2 * a2 * c2

@@ -154,9 +154,7 @@ def run_checks(params: JunctionParams, spectrum_points: int = 2000,
         p0 = params.replace(bias=0.0)
         traj = dynamics.integrate(dynamics.PhaseState(0.01, 0.0, 0.0, 0.0),
                                   drift_dt, drift_steps, p0)
-        drift = float(np.max(np.abs(traj.energy - traj.energy[0])))
-        scale = abs(traj.energy[0]) or 1.0
-        return drift / scale, 0.0
+        return traj.energy_drift(), 0.0
 
     _check(results, "energy-drift", 1e-8, energy_drift)
 

@@ -199,6 +199,13 @@ def test_simulate_numeric_failure_exit(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
+def test_simulate_unallocatable_buffer_exit(tmp_path, capsys):
+    cfg = write(tmp_path, "huge.cfg", SIM_CONFIG.replace("n_steps = 2000", f"n_steps = {2**60}"))
+    assert main(["simulate", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "n_steps=" in err and "stride=" in err
+
+
 # -------------------------------------------------------------------- escape
 
 def test_escape_reference_point(capsys):
@@ -319,6 +326,7 @@ def test_default_sweep_completes_quickly(tmp_path, capsys, monkeypatch):
     assert len(lines) == 1 + 2500
 
 
+@pytest.mark.filterwarnings("error")
 def test_sweep_invalid_axis_exit(tmp_path, capsys):
     cfg = write(tmp_path, "axis.cfg", REF_CONFIG + "\n[run]\naxis1 = bogus:0:1:5\n")
     assert main(["sweep", "--config", cfg]) == 6
@@ -326,6 +334,10 @@ def test_sweep_invalid_axis_exit(tmp_path, capsys):
     assert main(["sweep", "--config", cfg]) == 6
     cfg = write(tmp_path, "axis3.cfg", REF_CONFIG + "\n[run]\naxis1 = bias:0.9\n")
     assert main(["sweep", "--config", cfg]) == 6
+    # finite ends whose span overflows
+    cfg = write(tmp_path, "axis4.cfg", REF_CONFIG + "\n[run]\naxis1 = bias:-1e308:1e308:5\n")
+    assert main(["sweep", "--config", cfg]) == 6
+    assert "span must be finite" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- verify

@@ -4,10 +4,13 @@ Config files in both [junction] styles are drawn with values that include
 0, negative numbers, NaN, infinities, 1e308 and the smallest subnormal,
 plus an optional epsilon_override and sweep axes of at most 20 points.
 ``derive``, ``escape`` and ``sweep`` must exit 0, 2, 3, 4, 5 or 6 without
-an exception escaping ``main``, and a report printed with exit 0 holds no
-NaN or infinity.  ``simulate`` is not run: its ``n_steps`` is unbounded.
+an exception escaping ``main``; a report printed with exit 0 holds no NaN
+or infinity, and a sweep written with exit 0 has strict JSON and finite
+axis values.  ``simulate`` is not run: its ``n_steps`` is unbounded.
 """
 
+import csv
+import json
 import math
 import os
 import re
@@ -76,6 +79,12 @@ def config_text(draw):
               "bias = 6.946984481627348e-208\n")
 # omega_JL underflowed to 0 in <psi^2> = (alpha1 + alpha2)/omega_JL: exit 1
 @example(text="[junction]\nej1 = 1.0\nej2 = 1.0\nein = 5e-324\n")
+# an axis span that overflows: NaN axis values with exit 0
+@example(text="[junction]\nej_over_ec = 100\nomega_ratio = 2\n"
+              "[run]\naxis1 = bias:-1e308:1e308:5\n")
+# a NaN override: "epsilon_override": NaN in the sweep JSON with exit 0
+@example(text="[junction]\nej_over_ec = 100\nomega_ratio = 2\n"
+              "[run]\nepsilon_override = nan\n")
 def test_every_config_maps_to_a_documented_exit_code(text):
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "gen.cfg")
@@ -87,3 +96,18 @@ def test_every_config_maps_to_a_documented_exit_code(text):
             assert code in DOCUMENTED_EXITS, (argv, code)
             if code == 0:
                 assert not re.search(r"nan|inf", out, re.IGNORECASE), (argv, out)
+            if code == 0 and argv[0] == "sweep":
+                assert_sweep_files_strict(workdir)
+
+
+def assert_sweep_files_strict(workdir):
+    """grid.json holds no NaN/Infinity and grid.csv's two axis columns are
+    finite (its ln_ratio column may hold nan for invalid cells)."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    with open(os.path.join(workdir, "grid.json")) as fh:
+        json.load(fh, parse_constant=reject)
+    with open(os.path.join(workdir, "grid.csv"), newline="") as fh:
+        for row in list(csv.reader(fh))[1:]:
+            assert all(math.isfinite(float(v)) for v in row[:2]), row

@@ -9,7 +9,6 @@ from heterojj import (InvalidParameterError, JunctionParams, NoEquilibriumError,
                       potential_gradient, reduced_voltage,
                       small_oscillation_frequencies)
 from heterojj import _kernels
-from heterojj.dynamics import _kernel_coeffs
 from helpers import dominant_angular_frequency, random_params
 
 SYMMETRIC = JunctionParams(ej1=50.0, ej2=50.0, ein=125.0, alpha1=0.1, alpha2=0.1)
@@ -63,6 +62,9 @@ def test_integrate_argument_validation():
         integrate(state, 1e-3, 0, SYMMETRIC)
     with pytest.raises(InvalidParameterError):
         integrate(state, 1e-3, 10, SYMMETRIC, stride=0)
+    # numpy refuses a 2**60-row output buffer before allocating any of it
+    with pytest.raises(InvalidParameterError, match=r"n_steps=\d+ at stride=1 "):
+        integrate(state, 1e-3, 2**60, SYMMETRIC)
 
 
 def test_phase_state_rejects_non_finite():
@@ -128,22 +130,9 @@ def test_fourth_order_convergence():
         assert 3.5 < order < 4.5
 
 
-def test_backend_paths_agree():
-    if _kernels.rk4_numba is None:
-        pytest.skip("numba unavailable")
-    coeffs = _kernel_coeffs(SYMMETRIC.replace(bias=0.2))
-    out_py = np.empty((2001, 4))
-    out_nb = np.empty((2001, 4))
-    assert _kernels.rk4_python(0.3, 0.1, 0.0, 0.0, 1e-3, 2000, 1, *coeffs, out_py) == -1
-    assert _kernels.rk4_numba(0.3, 0.1, 0.0, 0.0, 1e-3, 2000, 1, *coeffs, out_nb) == -1
-    assert float(np.max(np.abs(out_py - out_nb))) < 1e-12
-
-
 def test_backend_name_says_what_runs():
-    # the interpreted kernel is plain Python; it uses no numpy
-    expected = ("numba", _kernels.rk4_numba) if _kernels.HAVE_NUMBA \
-        else ("python", _kernels.rk4_python)
-    assert (_kernels.active_backend(), _kernels.rk4_step_loop) == expected
+    # the kernel is plain Python; it uses no numpy
+    assert _kernels.active_backend() == "python"
 
 
 # ------------------------------------------------------------------ equilibria

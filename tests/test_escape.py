@@ -248,11 +248,20 @@ def test_axis_spec_validation():
         AxisSpec("bias", 0.5, 0.9, 1)
     with pytest.raises(InvalidAxisError):
         AxisSpec("bias", math.nan, 0.9, 5)
+    with pytest.raises(InvalidAxisError):  # finite ends, overflowing span
+        AxisSpec("bias", -1e308, 1e308, 5)
 
 
 def test_sweep_rejects_duplicate_axes():
     with pytest.raises(InvalidAxisError):
         sweep_grid(REF_POINT, AxisSpec("bias", 0.9, 0.95, 3), AxisSpec("bias", 0.9, 0.95, 3))
+
+
+@pytest.mark.parametrize("override", [math.nan, math.inf, -math.inf])
+def test_sweep_rejects_non_finite_eps_override(override):
+    with pytest.raises(InvalidParameterError, match="override must be finite"):
+        sweep_grid(REF_POINT, AxisSpec("bias", 0.9, 0.95, 3),
+                   AxisSpec("omega_ratio", 1.0, 2.0, 3), eps_override=override)
 
 
 def test_sweep_forced_bare_is_identically_zero():
