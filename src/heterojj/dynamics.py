@@ -129,7 +129,8 @@ def integrate(initial: PhaseState, dt: float, n_steps: int,
         If the output buffer for ``n_steps // stride + 1`` rows cannot be
         allocated.
     NonFiniteStateError
-        If any step produces a non-finite state (reports the step index).
+        If any step produces a non-finite state or meets an infinite phase
+        inside a stage (reports the step index).
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise InvalidParameterError(f"dt must be finite and positive, got {dt!r}")

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -360,6 +361,18 @@ def test_verify_inject_fails_dual_form(capsys):
 def test_verify_coarse_spectrum_fails(capsys):
     assert main(["verify", "--spectrum-n", "500"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_overflow_fails_without_warnings(tmp_path, capsys):
+    # the rows compute inf and NaN; the table reports them, numpy must not
+    cfg = write(tmp_path, "overflow.cfg", OVERFLOW_CONFIG)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--config", cfg]) == 1
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "gradient-vs-fd" in captured.out and "PASS" not in captured.out
 
 
 # ---------------------------------------------------------------- cold start

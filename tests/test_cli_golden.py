@@ -41,6 +41,7 @@ CASES = [
     ("simulate-asym-stride1", ["simulate", "--config", "@asym.cfg"], 0),
     ("simulate-asym-stride7", ["simulate", "--config", "@asym.cfg", "--stride", "7"], 0),
     ("simulate-tilt", ["simulate", "--config", "@tilt.cfg", "--out", "run.csv"], 0),
+    ("simulate-overflow", ["simulate", "--config", "@overflow.cfg"], 4),
     ("sweep-ref", ["sweep", "--config", "@ref.cfg", "--out", "grid"], 0),
     ("sweep-asym", ["sweep", "--config", "@asym.cfg", "--out", "grid"], 0),
     ("sweep-override", ["sweep", "--config", "@override.cfg", "--out", "grid"], 0),

@@ -93,10 +93,15 @@ def test_trajectory_sampling_uniform_and_increasing():
 
 
 def test_stride_thins_the_same_run():
-    full = integrate(PhaseState(0.05, 0.02, 0.0, 0.0), 1e-3, 1000, SYMMETRIC)
-    thin = integrate(PhaseState(0.05, 0.02, 0.0, 0.0), 1e-3, 1000, SYMMETRIC, stride=10)
-    assert np.array_equal(thin.theta, full.theta[::10])
-    assert np.array_equal(thin.psi_dot, full.psi_dot[::10])
+    # 1003 steps leave an unstored tail; a stride past n_steps stores the start only
+    start = PhaseState(0.05, 0.02, 0.3, -0.2)
+    for n_steps, strides in ((1000, (10,)), (1003, (7, 10, 2000))):
+        full = integrate(start, 1e-3, n_steps, SYMMETRIC)
+        for stride in strides:
+            thin = integrate(start, 1e-3, n_steps, SYMMETRIC, stride=stride)
+            assert len(thin) == n_steps // stride + 1
+            for name in ("theta", "psi", "theta_dot", "psi_dot"):
+                assert np.array_equal(getattr(thin, name), getattr(full, name)[::stride])
 
 
 def test_trajectory_state_accessor():
@@ -112,6 +117,32 @@ def test_non_finite_abort_reports_step():
     with pytest.raises(NonFiniteStateError) as info:
         integrate(PhaseState(0.1, 0.0, 0.0, 0.0), 1e-3, 100, p)
     assert info.value.step == 1
+
+
+def _kernel_bad_step(tilt_force, n_steps, stride):
+    out = np.empty((n_steps // stride + 1, 4))
+    return _kernels.rk4_step_loop(0.0, 0.0, 0.0, 0.0, 1.0, n_steps, stride,
+                                  1.0, 1.0, 1.0, tilt_force, 1.0, 0.5, 0.5, 1.0, 1.0, out)
+
+
+# theta_dot grows by ~tilt_force per step until it overflows: at 1e307 a
+# step ends non-finite, at 1e306 a stage first meets sin(inf)
+@pytest.mark.parametrize("tilt_force", [1e307, 1e306])
+def test_kernel_overflow_step_does_not_depend_on_stride(tilt_force):
+    bad = _kernel_bad_step(tilt_force, 40, 1)
+    assert 1 < bad < 40
+    assert _kernel_bad_step(tilt_force, 40, 3) == bad
+    # the last stored row is step bad - 1; bad falls in the unstored tail
+    assert _kernel_bad_step(tilt_force, bad + 1, bad - 1) == bad
+
+
+# the stage sums overflow, so one velocity ends step 1 infinite while both
+# phases, which move by about dt^2 times the accelerations, stay finite
+@pytest.mark.parametrize("tilt_force,c1", [(1.7e308, 1.0), (0.0, 1.7e308)])
+def test_kernel_stops_on_a_velocity_alone(tilt_force, c1):
+    out = np.empty((11, 4))
+    assert _kernels.rk4_step_loop(1.0, 0.0, 0.0, 0.0, 1e-3, 10, 1, 1.0, 1.0, 1.0,
+                                  tilt_force, 1.0, 0.5, 0.5, c1, 1.0, out) == 1
 
 
 def test_fourth_order_convergence():
