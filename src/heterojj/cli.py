@@ -71,6 +71,12 @@ def _print_flat(report: dict, stream) -> None:
         stream.write(f"{key}={value:{spec}}\n")
 
 
+def _refuse(key: str, value: float, what: str) -> int:
+    """Name a non-finite output field on stderr in place of the output."""
+    sys.stderr.write(f"error: {key} is not finite ({value!r}); no {what} written\n")
+    return EXIT_NUMERIC
+
+
 def _write_report(report: dict, as_json: bool) -> int:
     """Print a point report, or refuse one holding a non-finite number.
 
@@ -80,9 +86,7 @@ def _write_report(report: dict, as_json: bool) -> int:
     """
     for key, value in report.items():
         if isinstance(value, float) and not math.isfinite(value):
-            sys.stderr.write(f"error: {key} is not finite ({value!r}); "
-                             "no report written\n")
-            return EXIT_NUMERIC
+            return _refuse(key, value, "report")
     if as_json:
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
     else:
@@ -103,19 +107,21 @@ def cmd_derive(args) -> int:
     return _write_report(_derive_report(_load(args)), args.json)
 
 
-def _simulate_csv(cfg: RunConfig, stride: int):
+def _simulate(cfg: RunConfig, stride: int):
+    """The trajectory's CSV columns and its footer values, by name."""
     initial = dynamics.PhaseState(cfg.theta0, cfg.psi0,
                                   cfg.theta_dot0, cfg.psi_dot0)
     traj = dynamics.integrate(initial, cfg.dt, cfg.n_steps, cfg.params,
                               stride=stride)
-    footer = [f"# max_energy_drift={traj.energy_drift():.17g}"]
-    switch_tau = dynamics.detect_switching(traj, cfg.window)
-    if switch_tau is not None:
-        footer.append(f"# switch_tau={switch_tau:.17g}")
     columns = {name: getattr(traj, name) for name in
                ("tau", "theta", "psi", "theta_dot", "psi_dot", "energy")}
     columns["reduced_voltage"] = dynamics.reduced_voltage(traj, cfg.params)
-    return _csv(columns, *footer)
+    with np.errstate(all="ignore"):  # an inf or NaN is refused by the caller
+        footer = {"max_energy_drift": traj.energy_drift()}
+        switch_tau = dynamics.detect_switching(traj, cfg.window)
+    if switch_tau is not None:
+        footer["switch_tau"] = switch_tau
+    return columns, footer
 
 
 def _write_text(path: str, text: str) -> None:
@@ -127,9 +133,17 @@ def _write_text(path: str, text: str) -> None:
 
 
 def cmd_simulate(args) -> int:
+    """Write the trajectory CSV, or refuse one holding a non-finite number:
+    the first such column or footer value is named on stderr and the exit
+    code is EXIT_NUMERIC, as for a point report."""
     cfg = _load(args)
     stride = args.stride if args.stride is not None else cfg.stride
-    text = _simulate_csv(cfg, stride)
+    columns, footer = _simulate(cfg, stride)
+    for name, values in {**columns, **footer}.items():
+        finite = np.isfinite(values)
+        if not finite.all():
+            return _refuse(name, float(np.extract(~finite, values)[0]), "CSV")
+    text = _csv(columns, *(f"# {name}={value:.17g}" for name, value in footer.items()))
     out = args.out or cfg.out
     if out:
         _write_text(out, text)
@@ -196,10 +210,7 @@ def cmd_verify(args) -> int:
     cfg = _load(args)
     spectrum_points = args.spectrum_n if args.spectrum_n is not None \
         else cfg.spectrum_points
-    results = verify.run_checks(cfg.params,
-                                spectrum_points=spectrum_points,
-                                spectrum_levels=cfg.spectrum_levels,
-                                bounce_tol=cfg.bounce_tol,
+    results = verify.run_checks(cfg.params, spectrum_points=spectrum_points,
                                 inject=args.inject)
     sys.stdout.write(verify.format_table(results) + "\n")
     if all(r.passed for r in results):

@@ -63,8 +63,6 @@ class RunConfig:
     out: Optional[str] = None
     epsilon_override: Optional[float] = None
     spectrum_points: int = 2000
-    spectrum_levels: int = 7
-    bounce_tol: float = 1e-10
 
 
 def default_config() -> RunConfig:
@@ -90,8 +88,8 @@ def parse_axis(text: str) -> AxisSpec:
 # Each [run] key and its reader, in the order the keys are read.
 _RUN_READERS = {
     "dt": float, "theta0": float, "psi0": float, "theta_dot0": float,
-    "psi_dot0": float, "window": float, "bounce_tol": float,
-    "n_steps": int, "stride": int, "spectrum_points": int, "spectrum_levels": int,
+    "psi_dot0": float, "window": float,
+    "n_steps": int, "stride": int, "spectrum_points": int,
     "epsilon_override": float, "out": str.strip,
     "axis1": parse_axis, "axis2": parse_axis,
 }

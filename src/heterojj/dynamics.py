@@ -153,11 +153,13 @@ def integrate(initial: PhaseState, dt: float, n_steps: int,
         2.0 * params.alpha1 * params.ej1, 2.0 * params.alpha2 * params.ej2, out)
     if bad_step >= 0:
         raise NonFiniteStateError(int(bad_step))
-    tau = initial.tau + (dt * stride) * np.arange(out.shape[0])
     theta, psi = out[:, 0], out[:, 1]
     theta_dot, psi_dot = out[:, 2], out[:, 3]
-    kinetic = theta_dot ** 2 / (2.0 * inv_theta) + psi_dot ** 2 / (2.0 * inv_psi)
-    energy = kinetic + model.potential(theta, psi, params)
+    # every stored state is finite, but its time or energy may still overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau = initial.tau + (dt * stride) * np.arange(out.shape[0])
+        kinetic = theta_dot ** 2 / (2.0 * inv_theta) + psi_dot ** 2 / (2.0 * inv_psi)
+        energy = kinetic + model.potential(theta, psi, params)
     return Trajectory(tau=tau, theta=theta, psi=psi, theta_dot=theta_dot,
                       psi_dot=psi_dot, energy=energy, params=params,
                       dt=dt, stride=stride)

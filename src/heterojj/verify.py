@@ -1,8 +1,9 @@
 """Self-verification suite: every closed form against an independent check.
 
-Each check compares a closed-form quantity to its numerical oracle and
-records computed value, reference, tolerance, and pass/fail.  Exceptions
-inside a check mark it failed rather than aborting the suite.
+Each check compares a value the escape chain ships to its numerical oracle
+and records computed value, reference, tolerance, and pass/fail.  Rows that
+share an oracle call form a group; an exception inside the group marks all
+of its rows failed rather than aborting the suite.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ __all__ = ["CheckResult", "run_checks", "format_table"]
 
 GRADIENT_GRID_POINTS = 50
 GRADIENT_FD_STEP = 1e-5
+SPECTRUM_LEVELS = 7
+BOUNCE_TOL = 1e-10
+# perfbench/workloads.py derives verify's documented exits from this exact run
+DRIFT_DT = 1e-3
+DRIFT_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -36,133 +42,86 @@ def _relerr(value: float, reference: float) -> float:
     return abs(value - reference) / abs(reference)
 
 
-def _check(results: List[CheckResult], name: str, tolerance: float, func) -> None:
+def _check(results: List[CheckResult], rows, compute) -> None:
+    """Append one row per ``(name, tolerance)`` in ``rows``.
+
+    ``compute()`` makes the group's oracle calls and returns one
+    ``(computed, reference)`` pair per row; an exception inside it fails
+    every row of the group with the same note.
+    """
+    note = ""
     try:
         with np.errstate(all="ignore"):  # a non-finite value fails the row itself
-            computed, reference = func()
+            values = compute()
+    except Exception as exc:  # a failing oracle is a failed check, not a crash
+        values = [(math.nan, math.nan)] * len(rows)
+        note = f"{type(exc).__name__}: {exc}"
+    for (name, tolerance), (computed, reference) in zip(rows, values):
         deviation = _relerr(computed, reference) if reference != 0.0 else abs(computed)
         results.append(CheckResult(name=name, computed=computed, reference=reference,
-                                   tolerance=tolerance, passed=deviation <= tolerance))
-    except Exception as exc:  # a failing oracle is a failed check, not a crash
-        results.append(CheckResult(name=name, computed=math.nan, reference=math.nan,
-                                   tolerance=tolerance, passed=False,
-                                   note=f"{type(exc).__name__}: {exc}"))
-
-
-def _once(compute):
-    """Memoize a zero-argument oracle call for the rows that share it.
-
-    The outcome is kept whether it is a value or an exception, so a failing
-    oracle runs once and fails every row that depends on it.
-    """
-    outcome: list = []
-
-    def get():
-        if not outcome:
-            try:
-                outcome.append((compute(), None))
-            except Exception as exc:  # re-raised in each dependent row
-                outcome.append((None, exc))
-        value, exc = outcome[0]
-        if exc is not None:
-            raise exc
-        return value
-
-    return get
+                                   tolerance=tolerance, passed=deviation <= tolerance,
+                                   note=note))
 
 
 def run_checks(params: JunctionParams, spectrum_points: int = 2000,
-               spectrum_levels: int = 7, bounce_tol: float = 1e-10,
-               drift_dt: float = 1e-3, drift_steps: int = 10000,
                inject: Optional[str] = None) -> List[CheckResult]:
     """Run the full oracle suite against one parameter set.
 
-    The barrier checks need 0 < bias < 1 - eps; with an unsuitable bias they
-    report as failed.  ``inject='gplus-sign'`` flips the sign of g_plus in
-    the dual-form check (fault-injection hook for self-tests).
+    Each row compares an oracle with the value the escape chain ships.  The
+    barrier checks need 0 < bias < 1 - eps; with an unsuitable bias they
+    report as failed.  ``inject='gplus-sign'`` flips the sign of the shipped
+    eps in the dual-form check (fault-injection hook for self-tests).
     """
     results: List[CheckResult] = []
     scales = derive(params)
     fluct = escape.epsilon(params)
 
     def dual_form():
-        g_plus = scales.g_plus * (-1.0 if inject == "gplus-sign" else 1.0)
-        direct = g_plus * fluct.psi_variance
-        return direct, fluct.epsilon_from_ratio
+        sign = -1.0 if inject == "gplus-sign" else 1.0
+        return [(sign * fluct.epsilon, fluct.epsilon_from_ratio)]
 
-    _check(results, "epsilon-dual-form", 1e-12, dual_form)
+    _check(results, [("epsilon-dual-form", 1e-12)], dual_form)
 
-    get_spectrum = _once(lambda: oracle.harmonic_spectrum(
-        params, n_points=spectrum_points, n_levels=spectrum_levels))
-
-    def ladder():
-        spec = get_spectrum()
+    def spectrum():
+        spec = oracle.harmonic_spectrum(params, n_points=spectrum_points,
+                                        n_levels=SPECTRUM_LEVELS)
         gaps = np.diff(spec.eigenvalues)[:5]
         worst_gap = float(gaps[np.argmax(np.abs(gaps - scales.omega_jl))])
-        return worst_gap, scales.omega_jl
+        return [(worst_gap, scales.omega_jl),
+                (float(spec.eigenvalues[0]), scales.omega_jl / 2.0),
+                (spec.ground_psi_variance, fluct.psi_variance),
+                (spec.resolution_shift, 0.0)]
 
-    _check(results, "spectrum-ladder", 5e-3, ladder)
+    _check(results, [("spectrum-ladder", 5e-3), ("spectrum-ground-energy", 1e-3),
+                     ("spectrum-ground-variance", 1e-3),
+                     ("spectrum-resolution", oracle.RESOLUTION_SHIFT_LIMIT)], spectrum)
 
-    def ground_energy():
-        spec = get_spectrum()
-        return float(spec.eigenvalues[0]), scales.omega_jl / 2.0
+    def barrier():
+        fit = oracle.cubic_fit(params, fluct.epsilon)
+        rate = escape.escape_rate_ln(params, fluct.epsilon)
+        bounce = oracle.bounce_action(fit.profile(), scales.m_cm, fit.theta_min,
+                                      tol=BOUNCE_TOL)
+        return [(bounce.action_b, rate.exponent_b),
+                (fit.barrier_height, rate.v0),
+                (fit.quad_coeff, scales.m_cm * rate.omega_p_i * rate.omega_p_i)]
 
-    _check(results, "spectrum-ground-energy", 1e-3, ground_energy)
+    _check(results, [("bounce-vs-closed-form", 1e-8), ("cubic-barrier-height", 1e-10),
+                     ("cubic-curvature", 1e-10)], barrier)
 
-    def ground_variance():
-        spec = get_spectrum()
-        return spec.ground_psi_variance, escape.zero_point_variance(params)
-
-    _check(results, "spectrum-ground-variance", 1e-3, ground_variance)
-
-    def resolution():
-        spec = get_spectrum()
-        return spec.resolution_shift, 0.0
-
-    _check(results, "spectrum-resolution", oracle.RESOLUTION_SHIFT_LIMIT, resolution)
-
-    # the three barrier rows share one cubic fit and one closed-form geometry
-    get_fit = _once(lambda: (oracle.cubic_fit(params, fluct.epsilon),
-                             escape.barrier_params(params, fluct.epsilon)))
-
-    def bounce():
-        fit, (_theta0, omega_p_i, v0) = get_fit()
-        closed = 36.0 * v0 / (5.0 * omega_p_i)
-        result = oracle.bounce_action(fit.profile(), scales.m_cm, fit.theta_min,
-                                      tol=bounce_tol)
-        return result.action_b, closed
-
-    _check(results, "bounce-vs-closed-form", 1e-8, bounce)
-
-    def cubic_barrier():
-        fit, (_theta0, _omega_p_i, v0) = get_fit()
-        return fit.barrier_height, v0
-
-    _check(results, "cubic-barrier-height", 1e-10, cubic_barrier)
-
-    def cubic_curvature():
-        fit, (_theta0, omega_p_i, _v0) = get_fit()
-        return fit.quad_coeff, scales.m_cm * omega_p_i * omega_p_i
-
-    _check(results, "cubic-curvature", 1e-10, cubic_curvature)
-
-    def gradient_fd():
-        return _max_gradient_deviation(params), 0.0
-
-    _check(results, "gradient-vs-fd", 1e-6, gradient_fd)
+    _check(results, [("gradient-vs-fd", 1e-6)],
+           lambda: [(_max_gradient_deviation(params), 0.0)])
 
     def energy_drift():
-        p0 = params.replace(bias=0.0)
         traj = dynamics.integrate(dynamics.PhaseState(0.01, 0.0, 0.0, 0.0),
-                                  drift_dt, drift_steps, p0)
-        return traj.energy_drift(), 0.0
+                                  DRIFT_DT, DRIFT_STEPS, params.replace(bias=0.0))
+        return [(traj.energy_drift(), 0.0)]
 
-    _check(results, "energy-drift", 1e-8, energy_drift)
+    _check(results, [("energy-drift", 1e-8)], energy_drift)
 
     return results
 
 
-def _max_gradient_deviation(params: JunctionParams, step: float = GRADIENT_FD_STEP) -> float:
+def _max_gradient_deviation(params: JunctionParams) -> float:
     """Worst normalized deviation of the analytic gradient from central
     finite differences on a grid over [-pi, pi]^2.
 
@@ -173,6 +132,7 @@ def _max_gradient_deviation(params: JunctionParams, step: float = GRADIENT_FD_ST
     grid = np.linspace(-math.pi, math.pi, GRADIENT_GRID_POINTS)
     theta, psi = np.meshgrid(grid, grid, indexing="ij")
     at, ap = model.potential_gradient(theta, psi, params)
+    step = GRADIENT_FD_STEP
     ft = (model.potential(theta + step, psi, params)
           - model.potential(theta - step, psi, params)) / (2.0 * step)
     fp = (model.potential(theta, psi + step, params)

@@ -207,6 +207,25 @@ def test_simulate_unallocatable_buffer_exit(tmp_path, capsys):
     assert "n_steps=" in err and "stride=" in err
 
 
+# every state is finite, but an energy or a time overflows
+@pytest.mark.parametrize("run,column,value", [
+    ("bias = 0\n[run]\ntheta_dot0 = 1e200\n", "energy", "inf"),
+    ("bias = 0.5\n[run]\ntheta0 = 1e307\n", "energy", "-inf"),
+    ("bias = 0\n[run]\ndt = 1e308\nn_steps = 3\n", "tau", "inf"),
+], ids=["energy-inf", "energy-minus-inf", "tau-inf"])
+def test_simulate_non_finite_column_exits_numeric(tmp_path, capsys, run, column, value):
+    cfg = write(tmp_path, "sim.cfg",
+                f"[junction]\nej_over_ec = 100\nomega_ratio = 2\n{run}")
+    out = tmp_path / "run.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+    assert capsys.readouterr().err == (f"error: {column} is not finite ({value}); "
+                                       "no CSV written\n")
+
+
 # -------------------------------------------------------------------- escape
 
 def test_escape_reference_point(capsys):

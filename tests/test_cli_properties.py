@@ -2,11 +2,14 @@
 
 Config files in both [junction] styles are drawn with values that include
 0, negative numbers, NaN, infinities, 1e308 and the smallest subnormal,
-plus an optional epsilon_override and sweep axes of at most 20 points.
-``derive``, ``escape`` and ``sweep`` must exit 0, 2, 3, 4, 5 or 6 without
-an exception escaping ``main``; a report printed with exit 0 holds no NaN
-or infinity, and a sweep written with exit 0 has strict JSON and finite
-axis values.  ``simulate`` is not run: its ``n_steps`` is unbounded.
+plus an optional epsilon_override, sweep axes of at most 20 points and the
+simulate keys of [run] (initial state, dt, window, stride).  ``derive``,
+``escape``, ``sweep`` and ``simulate`` must exit 0, 2, 3, 4, 5 or 6 without
+an exception escaping ``main``; a report printed or a trajectory CSV
+written with exit 0 holds no NaN or infinity, and a sweep written with
+exit 0 has strict JSON and finite axis values.  The strategy caps
+``n_steps`` at 200: the program itself does not bound the run time of a
+large ``n_steps``, so such configs are kept out here, not refused there.
 """
 
 import csv
@@ -37,6 +40,11 @@ def mostly(typical):
 
 values = mostly(st.floats(min_value=1e-3, max_value=1e3))
 biases = mostly(st.floats(min_value=0.0, max_value=1.2))
+phases = mostly(st.floats(min_value=-10.0, max_value=10.0))
+velocities = mostly(st.floats(min_value=-100.0, max_value=100.0))
+steps = mostly(st.floats(min_value=1e-4, max_value=1.0))
+windows = mostly(st.floats(min_value=1e-3, max_value=10.0))
+strides = mostly(st.integers(min_value=-1, max_value=50))
 kappas = st.sampled_from(["1", "-1", "+1", "1", "-1", "0", "2", "1.5", "nan",
                           "inf", "5e-324"])
 
@@ -58,6 +66,12 @@ def config_text(draw):
     junction.update(draw(optional(["bias"], biases)))
     junction.update(draw(optional(["kappa"], kappas)))
     run = draw(optional(["epsilon_override"], values))
+    run.update(draw(optional(["theta0", "psi0"], phases)))
+    run.update(draw(optional(["theta_dot0", "psi_dot0"], velocities)))
+    run.update(draw(optional(["dt"], steps)))
+    run.update(draw(optional(["window"], windows)))
+    run.update(draw(optional(["stride"], strides)))
+    run["n_steps"] = draw(st.integers(-1, 200))  # the default 10 000 is not drawn
     names = draw(st.lists(st.sampled_from(AXIS_NAMES), min_size=2, max_size=2))
     for i, name in enumerate(names, 1):
         start, stop = sorted(draw(biases if name == "bias" else values) for _ in "ab")
@@ -85,19 +99,30 @@ def config_text(draw):
 # a NaN override: "epsilon_override": NaN in the sweep JSON with exit 0
 @example(text="[junction]\nej_over_ec = 100\nomega_ratio = 2\n"
               "[run]\nepsilon_override = nan\n")
+# simulate wrote inf or NaN energies and times into the CSV with exit 0
+@example(text="[junction]\nej_over_ec = 100\nomega_ratio = 2\nbias = 0\n"
+              "[run]\ntheta_dot0 = 1e200\n")
+@example(text="[junction]\nej_over_ec = 100\nomega_ratio = 2\nbias = 0.5\n"
+              "[run]\ntheta0 = 1e307\n")
+@example(text="[junction]\nej_over_ec = 100\nomega_ratio = 2\nbias = 0\n"
+              "[run]\ndt = 1e308\nn_steps = 3\n")
 def test_every_config_maps_to_a_documented_exit_code(text):
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "gen.cfg")
         with open(path, "w") as fh:
             fh.write(text)
         for argv in (["derive"], ["derive", "--json"], ["escape"], ["escape", "--json"],
-                     ["sweep", "--out", "grid"]):
+                     ["sweep", "--out", "grid"], ["simulate", "--out", "run.csv"]):
             code, out, _ = run_cli(argv + ["--config", path], workdir)
             assert code in DOCUMENTED_EXITS, (argv, code)
             if code == 0:
                 assert not re.search(r"nan|inf", out, re.IGNORECASE), (argv, out)
             if code == 0 and argv[0] == "sweep":
                 assert_sweep_files_strict(workdir)
+            if code == 0 and argv[0] == "simulate":
+                with open(os.path.join(workdir, "run.csv")) as fh:
+                    csv_text = fh.read()
+                assert not re.search(r"nan|inf", csv_text, re.IGNORECASE), csv_text
 
 
 def assert_sweep_files_strict(workdir):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -210,3 +211,43 @@ def test_verify_failing_spectrum_runs_once(monkeypatch):
         assert not rows[name].passed
         assert rows[name].note.startswith("InvalidParameterError: n_points=500")
     assert all(rows[name].passed for name in BARRIER_ROWS)
+
+
+def _rows(params):
+    from heterojj import verify
+
+    return {r.name: r for r in verify.run_checks(params)}
+
+
+def test_verify_bounce_row_reads_the_shipped_exponent(monkeypatch):
+    # an exponent_b off by 0.1 % in the chain must fail the bounce row, not
+    # pass against a re-typed copy of 36 v0 / (5 omega_p_i)
+    from heterojj import escape
+
+    instanton = escape._instanton
+
+    def skewed(*args):
+        result = instanton(*args)
+        return dataclasses.replace(result, exponent_b=result.exponent_b * 1.001)
+
+    monkeypatch.setattr(escape, "_instanton", skewed)
+    rows = _rows(REF_POINT)
+    assert not rows["bounce-vs-closed-form"].passed
+    assert rows["cubic-barrier-height"].passed and rows["cubic-curvature"].passed
+
+
+def test_verify_dual_form_row_reads_the_shipped_epsilon(monkeypatch):
+    # an eps off by 0.1 % in the chain must fail the dual-form row, not pass
+    # against a re-typed copy of g_plus <psi^2>
+    from heterojj import escape
+
+    shipped = escape.epsilon
+
+    def skewed(params):
+        fluct = shipped(params)
+        return dataclasses.replace(fluct, epsilon=fluct.epsilon * 1.001)
+
+    monkeypatch.setattr(escape, "epsilon", skewed)
+    rows = _rows(REF_POINT)
+    assert not rows["epsilon-dual-form"].passed
+    assert rows["bounce-vs-closed-form"].passed
