@@ -16,7 +16,8 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from typing import Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -45,6 +46,9 @@ _EXIT_CODES = {
     NoBarrierError: EXIT_NO_BARRIER,
     NoEquilibriumError: EXIT_NO_BARRIER,
 }
+
+# Rows of CSV text formatted and written at a time.
+CSV_CHUNK_ROWS = 4096
 
 # The EscapeResult fields of the escape report, in report order.
 _ESCAPE_FIELDS = ("theta0", "omega_p_i", "v0", "exponent_b", "ln_prefactor",
@@ -94,13 +98,21 @@ def _write_report(report: dict, as_json: bool) -> int:
     return EXIT_OK
 
 
-def _csv(columns: dict, *footer: str) -> str:
-    """CSV text: a header of the column names, one row per array element
-    (floats with 17 significant digits, bools as 1/0) and the footer lines."""
-    row = ",".join("%d" if col.dtype == bool else "%.17g" for col in columns.values())
-    return "\n".join([",".join(columns),
-                      *(row % cells for cells in zip(*columns.values())),
-                      *footer, ""])
+def _csv(columns: dict, *footer: str) -> Iterator[str]:
+    """CSV text in pieces of at most CSV_CHUNK_ROWS rows: a header of the
+    column names, one row per array element (floats with 17 significant
+    digits, bools as 1/0) and the footer lines, each line ended by a newline.
+
+    Only one piece of text is held at a time, so writing the pieces as they
+    come keeps the text in memory bounded by the chunk, not the run.
+    """
+    row = ",".join("%d" if col.dtype == bool else "%.17g"
+                   for col in columns.values()) + "\n"
+    rows = zip(*columns.values())
+    yield ",".join(columns) + "\n"
+    while piece := "".join([row % cells for cells in islice(rows, CSV_CHUNK_ROWS)]):
+        yield piece
+    yield "".join(line + "\n" for line in footer)
 
 
 def cmd_derive(args) -> int:
@@ -124,10 +136,11 @@ def _simulate(cfg: RunConfig, stride: int):
     return columns, footer
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, pieces: Iterable[str]) -> None:
+    """Write the text pieces to ``path`` in order, as they come."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path!r}: {exc}") from exc
 
@@ -143,12 +156,12 @@ def cmd_simulate(args) -> int:
         finite = np.isfinite(values)
         if not finite.all():
             return _refuse(name, float(np.extract(~finite, values)[0]), "CSV")
-    text = _csv(columns, *(f"# {name}={value:.17g}" for name, value in footer.items()))
+    pieces = _csv(columns, *(f"# {name}={value:.17g}" for name, value in footer.items()))
     out = args.out or cfg.out
     if out:
-        _write_text(out, text)
+        _write_text(out, pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return EXIT_OK
 
 
@@ -199,7 +212,7 @@ def cmd_sweep(args) -> int:
         "ln_ratio": np.where(grid.valid, grid.values, None).tolist(),
         "valid": grid.valid.tolist(),
     }
-    _write_text(json_path, json.dumps(document, indent=2) + "\n")
+    _write_text(json_path, [json.dumps(document, indent=2), "\n"])
     if not grid.valid.any():
         sys.stderr.write("warning: no valid cells in the requested grid\n")
     sys.stdout.write(f"wrote {csv_path} and {json_path}\n")

@@ -126,7 +126,8 @@ def integrate(initial: PhaseState, dt: float, n_steps: int,
     Raises
     ------
     InvalidParameterError
-        If the output buffer for ``n_steps // stride + 1`` rows cannot be
+        If ``stride`` is too large for ``dt * stride`` to be a float, or the
+        output buffer for ``n_steps // stride + 1`` rows cannot be
         allocated.
     NonFiniteStateError
         If any step produces a non-finite state or meets an infinite phase
@@ -138,6 +139,14 @@ def integrate(initial: PhaseState, dt: float, n_steps: int,
         raise InvalidParameterError(f"n_steps must be >= 1, got {n_steps!r}")
     if stride < 1:
         raise InvalidParameterError(f"stride must be >= 1, got {stride!r}")
+    try:
+        row_dt = dt * stride
+    except OverflowError:  # an int beyond the float range
+        row_dt = math.inf
+    if not math.isfinite(row_dt):
+        raise InvalidParameterError(
+            "stride is too large: the time between stored rows, dt * stride, "
+            "does not fit in a float")
     inv_theta, inv_psi = _inverse_mass(params)
     try:
         out = np.empty((n_steps // stride + 1, 4))
@@ -157,7 +166,7 @@ def integrate(initial: PhaseState, dt: float, n_steps: int,
     theta_dot, psi_dot = out[:, 2], out[:, 3]
     # every stored state is finite, but its time or energy may still overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        tau = initial.tau + (dt * stride) * np.arange(out.shape[0])
+        tau = initial.tau + row_dt * np.arange(out.shape[0])
         kinetic = theta_dot ** 2 / (2.0 * inv_theta) + psi_dot ** 2 / (2.0 * inv_psi)
         energy = kinetic + model.potential(theta, psi, params)
     return Trajectory(tau=tau, theta=theta, psi=psi, theta_dot=theta_dot,

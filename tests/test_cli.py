@@ -3,11 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from heterojj import cli
 from heterojj.cli import main
 
 REF_CONFIG = """
@@ -224,6 +227,61 @@ def test_simulate_non_finite_column_exits_numeric(tmp_path, capsys, run, column,
     assert not out.exists()
     assert capsys.readouterr().err == (f"error: {column} is not finite ({value}); "
                                        "no CSV written\n")
+
+
+HUGE_STRIDE = "1" + "0" * 400  # past the float range
+
+
+# dt * stride either cannot be formed (an int past the float range) or
+# overflows to inf; either way the rows have no time axis.
+@pytest.mark.parametrize("dt,run,option", [
+    ("1e-3", f"stride = {HUGE_STRIDE}\n", []),
+    ("1e-3", "", ["--stride", HUGE_STRIDE]),
+    ("10", "", ["--stride", str(10 ** 308)]),
+], ids=["config", "option", "float-overflow"])
+def test_simulate_huge_stride_exits_invariant(tmp_path, capsys, dt, run, option):
+    text = SIM_CONFIG.replace("n_steps = 2000", "n_steps = 20").replace("dt = 1e-3", f"dt = {dt}")
+    cfg = write(tmp_path, "sim.cfg", text + run)
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--config", cfg, *option, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: stride is too large")
+
+
+@pytest.mark.parametrize("n_rows", [1, cli.CSV_CHUNK_ROWS - 1, cli.CSV_CHUNK_ROWS,
+                                    cli.CSV_CHUNK_ROWS + 1, 2 * cli.CSV_CHUNK_ROWS + 3])
+def test_csv_pieces_join_to_the_whole_text(n_rows):
+    x = np.arange(n_rows) * math.pi - 1e5
+    flag = np.arange(n_rows) % 3 == 0
+    footer = ("# a=1", "# b=-2.5")
+    pieces = list(cli._csv({"x": x, "x_sq": x * x, "flag": flag}, *footer))
+    rows = [f"{a:.17g},{a * a:.17g},{int(b)}" for a, b in zip(x.tolist(), flag.tolist())]
+    assert "".join(pieces) == "\n".join(["x,x_sq,flag", *rows, *footer, ""])
+    assert max(piece.count("\n") for piece in pieces) <= cli.CSV_CHUNK_ROWS
+
+
+# The CSV text is formatted and written a chunk of rows at a time, so a long
+# stride-1 run holds its arrays (about 60 B a row) and one chunk, never a
+# whole copy of the text (about 140 B a row here, with psi moving).
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_simulate_text_memory_stays_below_the_csv_size(tmp_path, monkeypatch, to_file):
+    cfg = write(tmp_path, "sim.cfg",
+                SIM_CONFIG.replace("n_steps = 2000", "n_steps = 40000") + "psi0 = 0.01\n")
+    out = tmp_path / ("run.csv" if to_file else "stdout.csv")
+    argv = ["simulate", "--config", cfg, "--stride", "1"]
+    if to_file:
+        argv += ["--out", str(out)]
+    with open(tmp_path / "stdout.csv", "w", encoding="utf-8", newline="") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    size = out.stat().st_size
+    assert peak < size, f"traced peak {peak} B for a CSV of {size} B"
 
 
 # -------------------------------------------------------------------- escape
