@@ -17,8 +17,8 @@ from .errors import (ConfigError, ConvergenceError, HeterojjError,
                      InvalidAxisError, InvalidParameterError, NoBarrierError,
                      NoEquilibriumError, NonFiniteStateError)
 from .escape import (AxisSpec, EscapeResult, FluctuationRenorm, SweepGrid,
-                     barrier_params, effective_potential, enhancement_ratio_ln,
-                     epsilon, escape_rate_ln, sweep_grid, zero_point_variance)
+                     effective_potential, enhancement_ratio_ln, epsilon,
+                     escape_rate_ln, sweep_grid, zero_point_variance)
 from .model import (DerivedScales, JunctionParams, combine_phases, derive,
                     potential, potential_gradient, potential_hessian,
                     split_phases)
@@ -37,8 +37,8 @@ __all__ = [
     "small_oscillation_frequencies", "reduced_voltage", "detect_switching",
     # escape
     "FluctuationRenorm", "EscapeResult", "AxisSpec", "SweepGrid",
-    "zero_point_variance", "epsilon", "effective_potential", "barrier_params",
-    "escape_rate_ln", "enhancement_ratio_ln", "sweep_grid",
+    "zero_point_variance", "epsilon", "effective_potential", "escape_rate_ln",
+    "enhancement_ratio_ln", "sweep_grid",
     # oracle
     "SpectrumResult", "BounceResult", "CubicFit", "harmonic_spectrum",
     "bounce_action", "cubic_fit",

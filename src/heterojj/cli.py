@@ -220,11 +220,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load(args)
-    spectrum_points = args.spectrum_n if args.spectrum_n is not None \
-        else cfg.spectrum_points
-    results = verify.run_checks(cfg.params, spectrum_points=spectrum_points,
-                                inject=args.inject)
+    results = verify.run_checks(_load(args).params)
     sys.stdout.write(verify.format_table(results) + "\n")
     if all(r.passed for r in results):
         return EXIT_OK
@@ -271,10 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle suite, nonzero exit on failure")
     add_common(p)
-    p.add_argument("--spectrum-n", type=int, metavar="N",
-                   help="grid points for the spectrum checks (overrides config)")
-    p.add_argument("--inject", choices=("gplus-sign",),
-                   help="fault-injection hook for self-tests")
     p.set_defaults(func=cmd_verify)
     return parser
 

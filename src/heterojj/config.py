@@ -23,10 +23,10 @@ Example::
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .dynamics import DEFAULT_SWITCH_WINDOW
 from .errors import ConfigError, HeterojjError, InvalidAxisError
 from .escape import AxisSpec
 from .model import JunctionParams
@@ -57,12 +57,11 @@ class RunConfig:
     psi0: float = 0.0
     theta_dot0: float = 0.0
     psi_dot0: float = 0.0
-    window: float = 2.0 * math.pi
+    window: float = DEFAULT_SWITCH_WINDOW
     axis1: AxisSpec = field(default_factory=lambda: AxisSpec("bias", 0.90, 0.99, 50))
     axis2: AxisSpec = field(default_factory=lambda: AxisSpec("omega_ratio", 0.5, 5.0, 50))
     out: Optional[str] = None
     epsilon_override: Optional[float] = None
-    spectrum_points: int = 2000
 
 
 def default_config() -> RunConfig:
@@ -89,7 +88,7 @@ def parse_axis(text: str) -> AxisSpec:
 _RUN_READERS = {
     "dt": float, "theta0": float, "psi0": float, "theta_dot0": float,
     "psi_dot0": float, "window": float,
-    "n_steps": int, "stride": int, "spectrum_points": int,
+    "n_steps": int, "stride": int,
     "epsilon_override": float, "out": str.strip,
     "axis1": parse_axis, "axis2": parse_axis,
 }

@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 DEFAULT_SWITCH_WINDOW = 2.0 * math.pi
+# The most steps one integrate call takes: about 40 min of the pure-Python
+# kernel at ~2.2 us a step, and far beyond any run the commands need
+MAX_STEPS = 10**9
 
 
 @dataclass(frozen=True)
@@ -126,9 +129,9 @@ def integrate(initial: PhaseState, dt: float, n_steps: int,
     Raises
     ------
     InvalidParameterError
-        If ``stride`` is too large for ``dt * stride`` to be a float, or the
+        If ``stride`` is too large for ``dt * stride`` to be a float, the
         output buffer for ``n_steps // stride + 1`` rows cannot be
-        allocated.
+        allocated, or ``n_steps`` is above ``MAX_STEPS``.
     NonFiniteStateError
         If any step produces a non-finite state or meets an infinite phase
         inside a stage (reports the step index).
@@ -154,6 +157,10 @@ def integrate(initial: PhaseState, dt: float, n_steps: int,
         raise InvalidParameterError(
             f"n_steps={n_steps!r} at stride={stride!r} needs a trajectory buffer "
             f"that cannot be allocated ({exc})") from exc
+    # checked after the buffer: a run whose rows cannot be stored is refused for that
+    if n_steps > MAX_STEPS:
+        raise InvalidParameterError(
+            f"n_steps must be <= MAX_STEPS = {MAX_STEPS}, got {n_steps!r}")
     s, a1, a2, ej_tilt = model.channel_weights(params)
     bad_step = _kernels.rk4_step_loop(
         initial.theta, initial.psi, initial.theta_dot, initial.psi_dot, dt, n_steps, stride,

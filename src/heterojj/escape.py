@@ -47,7 +47,6 @@ __all__ = [
     "zero_point_variance",
     "epsilon",
     "effective_potential",
-    "barrier_params",
     "escape_rate_ln",
     "enhancement_ratio_ln",
     "sweep_grid",
@@ -243,15 +242,6 @@ def escape_rate_ln(params: JunctionParams, eps: float) -> EscapeResult:
     return _instanton(derive(params).omega_p, params.bias, eps)
 
 
-def barrier_params(params: JunctionParams, eps: float) -> Tuple[float, float, float]:
-    """Cubic-barrier geometry (theta0, omega_p_i, v0) of the renormalized well.
-
-    The fields of :func:`escape_rate_ln`, with its checks and exceptions.
-    """
-    result = escape_rate_ln(params, eps)
-    return result.theta0, result.omega_p_i, result.v0
-
-
 def enhancement_ratio_ln(params: JunctionParams,
                          eps_override: Optional[float] = None) -> float:
     """ln(Gamma/Gamma0): corrected minus bare log escape rate.
@@ -283,12 +273,28 @@ def sweep_grid(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec,
     parameters are invalid (omega_ratio <= 0 included) or the barrier is
     gone are flagged invalid (NaN value) without affecting their neighbors.
     A finite ``eps_override`` outside [0, 1) makes every cell invalid; a
-    non-finite one raises InvalidParameterError.
+    non-finite one raises InvalidParameterError.  A grid too large to
+    allocate raises InvalidAxisError.
     """
     if axis1.name == axis2.name:
         raise InvalidAxisError(f"axes must differ, both are {axis1.name!r}")
     if eps_override is not None and not math.isfinite(eps_override):
         raise InvalidParameterError(f"epsilon override must be finite, got {eps_override!r}")
+    try:
+        if axis1.count * axis2.count > np.iinfo(np.intp).max // 8:
+            # numpy refuses such an array with a ValueError, not a MemoryError
+            raise MemoryError("more bytes than an array can index")
+        values, valid = _sweep_cells(base, axis1, axis2, eps_override)
+    except MemoryError as exc:
+        raise InvalidAxisError(
+            f"axis counts {axis1.count} x {axis2.count} need a sweep grid that "
+            f"cannot be allocated ({exc})") from exc
+    return SweepGrid(axis1=axis1, axis2=axis2, values=values, valid=valid, base=base)
+
+
+def _sweep_cells(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec,
+                 eps_override: Optional[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``values`` and ``valid`` arrays of :func:`sweep_grid`."""
     axes = {axis1.name: axis1.values()[:, None], axis2.name: axis2.values()[None, :]}
     # a fixed bias is a numpy scalar: past the tilt the fourth root of
     # (1-eps)^2 - bias^2 is then NaN, where a Python float's would be complex
@@ -316,5 +322,4 @@ def sweep_grid(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec,
         for v in (cell.ej1, cell.ej2, cell.ein, cell.alpha1, cell.alpha2):
             valid = valid & np.isfinite(v) & (v > 0.0)
     valid = np.broadcast_to(valid, (axis1.count, axis2.count)).copy()
-    values = np.where(valid, ln_ratio, np.nan)
-    return SweepGrid(axis1=axis1, axis2=axis2, values=values, valid=valid, base=base)
+    return np.where(valid, ln_ratio, np.nan), valid

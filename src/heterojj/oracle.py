@@ -229,11 +229,11 @@ def cubic_fit(params: JunctionParams, eps: float) -> CubicFit:
 
     Uses the analytic second and third derivatives of the effective
     potential.  Its barrier height (2/3) quad^3 / cubic^2 reproduces the
-    closed-form v0 of :func:`heterojj.escape.barrier_params`, and its
+    closed-form v0 of :func:`heterojj.escape.escape_rate_ln`, and its
     curvature equals m_cm * omega_p_i^2; both identities are exact up to
     rounding.
     """
-    theta0, _omega_p_i, _v0 = escape.barrier_params(params, eps)
+    theta0 = escape.escape_rate_ln(params, eps).theta0
     ej_sum = derive(params).ej_sum
     quad_coeff = ej_sum * (1.0 - eps) * math.cos(theta0)
     cubic_coeff = -ej_sum * (1.0 - eps) * math.sin(theta0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = ["CheckResult", "run_checks", "format_table"]
 
 GRADIENT_GRID_POINTS = 50
 GRADIENT_FD_STEP = 1e-5
+SPECTRUM_POINTS = 2000
 SPECTRUM_LEVELS = 7
 BOUNCE_TOL = 1e-10
 # perfbench/workloads.py derives verify's documented exits from this exact run
@@ -63,27 +64,22 @@ def _check(results: List[CheckResult], rows, compute) -> None:
                                    note=note))
 
 
-def run_checks(params: JunctionParams, spectrum_points: int = 2000,
-               inject: Optional[str] = None) -> List[CheckResult]:
+def run_checks(params: JunctionParams) -> List[CheckResult]:
     """Run the full oracle suite against one parameter set.
 
     Each row compares an oracle with the value the escape chain ships.  The
     barrier checks need 0 < bias < 1 - eps; with an unsuitable bias they
-    report as failed.  ``inject='gplus-sign'`` flips the sign of the shipped
-    eps in the dual-form check (fault-injection hook for self-tests).
+    report as failed.
     """
     results: List[CheckResult] = []
     scales = derive(params)
     fluct = escape.epsilon(params)
 
-    def dual_form():
-        sign = -1.0 if inject == "gplus-sign" else 1.0
-        return [(sign * fluct.epsilon, fluct.epsilon_from_ratio)]
-
-    _check(results, [("epsilon-dual-form", 1e-12)], dual_form)
+    _check(results, [("epsilon-dual-form", 1e-12)],
+           lambda: [(fluct.epsilon, fluct.epsilon_from_ratio)])
 
     def spectrum():
-        spec = oracle.harmonic_spectrum(params, n_points=spectrum_points,
+        spec = oracle.harmonic_spectrum(params, n_points=SPECTRUM_POINTS,
                                         n_levels=SPECTRUM_LEVELS)
         gaps = np.diff(spec.eigenvalues)[:5]
         worst_gap = float(gaps[np.argmax(np.abs(gaps - scales.omega_jl))])

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from heterojj import (AxisSpec, JunctionParams, NoBarrierError, PhaseState,
-                      barrier_params, bounce_action, cubic_fit, derive,
-                      enhancement_ratio_ln, epsilon, escape_rate_ln, integrate,
-                      harmonic_spectrum, small_oscillation_frequencies,
-                      sweep_grid, zero_point_variance)
+                      bounce_action, cubic_fit, derive, enhancement_ratio_ln,
+                      epsilon, escape_rate_ln, integrate, harmonic_spectrum,
+                      small_oscillation_frequencies, sweep_grid,
+                      zero_point_variance)
 from heterojj.cli import main
 from helpers import dominant_angular_frequency, random_params
 
@@ -85,10 +85,11 @@ def test_criterion_3_instanton_exponent():
             eps = float(eps)
             if bias >= 1.0 - eps:
                 with pytest.raises(NoBarrierError):
-                    barrier_params(p, eps)
+                    escape_rate_ln(p, eps)
                 continue
             fit = cubic_fit(p, eps)
-            _theta0, omega_i, v0 = barrier_params(p, eps)
+            rate = escape_rate_ln(p, eps)
+            omega_i, v0 = rate.omega_p_i, rate.v0
             closed_form = 36.0 * v0 / (5.0 * omega_i)
             numeric = bounce_action(fit.profile(), 0.5, fit.theta_min).action_b
             assert abs(numeric - closed_form) / closed_form < 1e-8
@@ -201,7 +202,8 @@ def test_criterion_7_barrier_consistency():
         for bias in np.linspace(0.9, 1.0 - eps - 1e-6, 10):
             p = REF_POINT.replace(bias=float(bias))
             fit = cubic_fit(p, eps)
-            _theta0, omega_i, v0 = barrier_params(p, eps)
+            rate = escape_rate_ln(p, eps)
+            omega_i, v0 = rate.omega_p_i, rate.v0
             assert abs(fit.barrier_height - v0) / v0 < 1e-10
             bare = escape_rate_ln(p, 0.0)
             assert v0 / omega_i < bare.v0 / bare.omega_p_i

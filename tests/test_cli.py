@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heterojj import cli
+from heterojj import cli, escape, verify
 from heterojj.cli import main
 
 REF_CONFIG = """
@@ -114,6 +115,13 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+def test_spectrum_points_key_rejected(tmp_path, capsys):
+    # the FD grid of verify's spectrum rows is verify.SPECTRUM_POINTS, not a key
+    cfg = write(tmp_path, "bad.cfg", REF_CONFIG + "\n[run]\nspectrum_points = 2000\n")
+    assert main(["verify", "--config", cfg]) == 2
+    assert "spectrum_points" in capsys.readouterr().err
+
+
 def test_unreadable_config(capsys):
     assert main(["derive", "--config", "/nonexistent/nowhere.cfg"]) == 2
 
@@ -208,6 +216,21 @@ def test_simulate_unallocatable_buffer_exit(tmp_path, capsys):
     assert main(["simulate", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert "n_steps=" in err and "stride=" in err
+
+
+def test_simulate_runaway_n_steps_exit(tmp_path):
+    # 5 stored rows, but 2**60 steps of the kernel: refused before it runs.
+    # A fresh process with a timeout, so that a program without the limit
+    # fails here instead of hanging the suite.
+    cfg = write(tmp_path, "long.cfg", SIM_CONFIG.replace(
+        "n_steps = 2000", f"n_steps = {2**60}\nstride = {2**58}"))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "heterojj", "simulate", "--config", cfg],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "n_steps" in proc.stderr and "Traceback" not in proc.stderr
 
 
 # every state is finite, but an energy or a time overflows
@@ -418,6 +441,18 @@ def test_sweep_invalid_axis_exit(tmp_path, capsys):
     assert "span must be finite" in capsys.readouterr().err
 
 
+# counts whose arrays lie beyond the 64-bit address space: numpy refuses them
+# at once, without touching memory
+@pytest.mark.parametrize("count", [10**14, 10**23], ids=["memory", "size"])
+def test_sweep_unallocatable_grid_exit(tmp_path, capsys, monkeypatch, count):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "huge.cfg", REF_CONFIG + f"\n[run]\naxis1 = bias:0.9:0.99:{count}\n")
+    assert main(["sweep", "--config", cfg]) == 6
+    err = capsys.readouterr().err
+    assert f"{count} x 50" in err and "cannot be allocated" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 # -------------------------------------------------------------------- verify
 
 def test_verify_default_passes(capsys):
@@ -428,16 +463,34 @@ def test_verify_default_passes(capsys):
     assert "bounce-vs-closed-form" in out
 
 
-def test_verify_inject_fails_dual_form(capsys):
-    assert main(["verify", "--inject", "gplus-sign"]) == 1
+def test_verify_inject_fails_dual_form(capsys, monkeypatch):
+    # a sign flip of the shipped eps must fail the dual-form row
+    shipped = escape.epsilon
+
+    def flipped(params):
+        fluct = shipped(params)
+        return dataclasses.replace(fluct, epsilon=-fluct.epsilon)
+
+    monkeypatch.setattr(escape, "epsilon", flipped)
+    assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "epsilon-dual-form" in out
-    assert "FAIL" in out
+    row = next(line for line in out.splitlines() if line.startswith("epsilon-dual-form"))
+    assert row.split()[4] == "FAIL"
 
 
-def test_verify_coarse_spectrum_fails(capsys):
-    assert main(["verify", "--spectrum-n", "500"]) == 1
+def test_verify_coarse_spectrum_fails(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "SPECTRUM_POINTS", 500)
+    assert main(["verify"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", [["--spectrum-n", "500"], ["--inject", "gplus-sign"]])
+def test_verify_takes_no_settings(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_overflow_fails_without_warnings(tmp_path, capsys):
@@ -495,6 +548,6 @@ axis2 = omega_ratio:1:2:3
 
 def test_verify_loads_scipy():
     # control: the probe does see scipy once an oracle has run
-    codes, loaded = scipy_after([["verify", "--spectrum-n", "1000"]])
+    codes, loaded = scipy_after([["verify"]])
     assert codes == [0]
     assert "scipy" in loaded

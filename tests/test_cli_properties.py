@@ -7,9 +7,9 @@ simulate keys of [run] (initial state, dt, window, stride).  ``derive``,
 ``escape``, ``sweep`` and ``simulate`` must exit 0, 2, 3, 4, 5 or 6 without
 an exception escaping ``main``; a report printed or a trajectory CSV
 written with exit 0 holds no NaN or infinity, and a sweep written with
-exit 0 has strict JSON and finite axis values.  The strategy caps
-``n_steps`` at 200: the program itself does not bound the run time of a
-large ``n_steps``, so such configs are kept out here, not refused there.
+exit 0 has strict JSON and finite axis values.  The program refuses an
+``n_steps`` above ``dynamics.MAX_STEPS``; the strategy still caps it at 200,
+so that the suite stays fast.
 """
 
 import csv
@@ -106,6 +106,12 @@ def config_text(draw):
               "[run]\ntheta0 = 1e307\n")
 @example(text="[junction]\nej_over_ec = 100\nomega_ratio = 2\nbias = 0\n"
               "[run]\ndt = 1e308\nn_steps = 3\n")
+# a sweep grid too large to allocate: MemoryError traceback, exit 1
+@example(text="[junction]\nej_over_ec = 100\nomega_ratio = 2\n"
+              "[run]\naxis1 = bias:0.9:0.99:100000000000000\n")
+# 5 stored rows but 2**60 steps: simulate never ended
+@example(text="[junction]\nej_over_ec = 100\nomega_ratio = 2\n"
+              f"[run]\nn_steps = {2**60}\nstride = {2**58}\n")
 def test_every_config_maps_to_a_documented_exit_code(text):
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "gen.cfg")

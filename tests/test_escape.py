@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from heterojj import (AxisSpec, InvalidAxisError, InvalidParameterError,
-                      JunctionParams, NoBarrierError, barrier_params, derive,
-                      effective_potential, enhancement_ratio_ln, epsilon,
-                      escape_rate_ln, sweep_grid, zero_point_variance)
+                      JunctionParams, NoBarrierError, derive, effective_potential,
+                      enhancement_ratio_ln, epsilon, escape_rate_ln, sweep_grid,
+                      zero_point_variance)
 from helpers import random_params
 
 REF_POINT = JunctionParams.from_ratios(100.0, 2.0, 1.0, 0.1, 0.1, 1, 0.95)
@@ -111,7 +111,8 @@ def test_barrier_shrinks_monotonically_with_eps():
 
 def test_barrier_chain_frozen_values():
     p = REF_POINT
-    theta0, omega_i, v0 = barrier_params(p, 0.0)
+    rate = escape_rate_ln(p, 0.0)
+    theta0, omega_i, v0 = rate.theta0, rate.omega_p_i, rate.v0
     assert theta0 == pytest.approx(THETA0_95, rel=1e-12)
     assert omega_i == pytest.approx(OMEGA_I_95, rel=1e-12)
     assert v0 == pytest.approx(V0_95, rel=1e-12)
@@ -124,7 +125,8 @@ def test_barrier_chain_frozen_values():
 def test_barrier_vanishes_at_critical_tilt():
     eps = 0.02
     p = REF_POINT.replace(bias=(1 - eps) * (1 - 1e-10))
-    theta0, omega_i, v0 = barrier_params(p, eps)
+    rate = escape_rate_ln(p, eps)
+    theta0, omega_i, v0 = rate.theta0, rate.omega_p_i, rate.v0
     assert v0 < 1e-12
     assert omega_i < 0.01 * derive(p).omega_p
     assert theta0 == pytest.approx(math.pi / 2, abs=1e-4)
@@ -132,18 +134,18 @@ def test_barrier_vanishes_at_critical_tilt():
 
 def test_no_barrier_error_at_and_above_boundary():
     with pytest.raises(NoBarrierError):
-        barrier_params(REF_POINT.replace(bias=0.96), 0.05)
+        escape_rate_ln(REF_POINT.replace(bias=0.96), 0.05)
     with pytest.raises(NoBarrierError):
-        barrier_params(REF_POINT.replace(bias=0.95), 0.05)
+        escape_rate_ln(REF_POINT.replace(bias=0.95), 0.05)
     with pytest.raises(NoBarrierError):
-        barrier_params(REF_POINT.replace(bias=1.2), 0.0)
+        escape_rate_ln(REF_POINT.replace(bias=1.2), 0.0)
 
 
 def test_barrier_requires_positive_bias_and_valid_eps():
     with pytest.raises(InvalidParameterError):
-        barrier_params(REF_POINT.replace(bias=0.0), 0.0)
+        escape_rate_ln(REF_POINT.replace(bias=0.0), 0.0)
     with pytest.raises(InvalidParameterError):
-        barrier_params(REF_POINT, 1.1)
+        escape_rate_ln(REF_POINT, 1.1)
 
 
 # ----------------------------------------------------------------- ln(Gamma)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from heterojj import (ConvergenceError, InvalidParameterError, JunctionParams,
-                      NoBarrierError, barrier_params, bounce_action, cubic_fit,
-                      derive, epsilon, harmonic_spectrum, zero_point_variance)
+                      NoBarrierError, bounce_action, cubic_fit, derive, epsilon,
+                      escape_rate_ln, harmonic_spectrum, zero_point_variance)
 from heterojj.oracle import _fd_levels
 
 REF_POINT = JunctionParams.from_ratios(100.0, 2.0, 1.0, 0.1, 0.1, 1, 0.95)
@@ -72,7 +72,8 @@ def test_fd_discretization_is_second_order():
 
 def test_bounce_matches_closed_form_on_fitted_cubic():
     fit = cubic_fit(REF_POINT, 0.0)
-    _theta0, omega_i, v0 = barrier_params(REF_POINT, 0.0)
+    rate = escape_rate_ln(REF_POINT, 0.0)
+    omega_i, v0 = rate.omega_p_i, rate.v0
     closed = 36.0 * v0 / (5.0 * omega_i)
     result = bounce_action(fit.profile(), 0.5, fit.theta_min)
     assert abs(result.action_b - closed) / closed < 1e-10
@@ -115,7 +116,8 @@ def test_bounce_argument_validation():
 def test_full_washboard_vs_cubic_fit_gap():
     # Cubic-approximation error of the exact washboard bounce at bias 0.95:
     # measured at 6.4%, kept pinned as a regression band.
-    theta0, omega_i, v0 = barrier_params(REF_POINT, 0.0)
+    rate = escape_rate_ln(REF_POINT, 0.0)
+    theta0, omega_i, v0 = rate.theta0, rate.omega_p_i, rate.v0
 
     def washboard(theta):
         return -100.0 * (math.cos(theta) + 0.95 * theta)
@@ -135,13 +137,13 @@ def test_cubic_barrier_height_matches_closed_form():
             if bias >= 1 - eps:
                 continue
             fit = cubic_fit(p, eps)
-            _theta0, _omega_i, v0 = barrier_params(p, eps)
+            v0 = escape_rate_ln(p, eps).v0
             assert abs(fit.barrier_height - v0) / v0 < 1e-10
 
 
 def test_cubic_curvature_identity():
     fit = cubic_fit(REF_POINT, 0.0)
-    _theta0, omega_i, _v0 = barrier_params(REF_POINT, 0.0)
+    omega_i = escape_rate_ln(REF_POINT, 0.0).omega_p_i
     assert abs(fit.quad_coeff - 0.5 * omega_i ** 2) / (0.5 * omega_i ** 2) < 1e-10
 
 
@@ -174,7 +176,7 @@ SPECTRUM_ROWS = ("spectrum-ladder", "spectrum-ground-energy",
                  "spectrum-ground-variance", "spectrum-resolution")
 
 
-def _run_counted(monkeypatch, params, **kwargs):
+def _run_counted(monkeypatch, params):
     from heterojj import oracle, verify
 
     calls = {"cubic_fit": 0, "harmonic_spectrum": 0}
@@ -187,7 +189,7 @@ def _run_counted(monkeypatch, params, **kwargs):
 
     for name in calls:
         monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
-    rows = {r.name: r for r in verify.run_checks(params, **kwargs)}
+    rows = {r.name: r for r in verify.run_checks(params)}
     return rows, calls
 
 
@@ -205,7 +207,10 @@ def test_verify_barrier_rows_share_one_fit(monkeypatch, bias):
         assert rows[name].note == note
 
 def test_verify_failing_spectrum_runs_once(monkeypatch):
-    rows, calls = _run_counted(monkeypatch, REF_POINT, spectrum_points=500)
+    from heterojj import verify
+
+    monkeypatch.setattr(verify, "SPECTRUM_POINTS", 500)
+    rows, calls = _run_counted(monkeypatch, REF_POINT)
     assert calls == {"cubic_fit": 1, "harmonic_spectrum": 1}
     for name in SPECTRUM_ROWS:
         assert not rows[name].passed
