@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from itertools import islice
@@ -130,7 +131,7 @@ def _simulate(cfg: RunConfig, stride: int):
     columns["reduced_voltage"] = dynamics.reduced_voltage(traj, cfg.params)
     with np.errstate(all="ignore"):  # an inf or NaN is refused by the caller
         footer = {"max_energy_drift": traj.energy_drift()}
-        switch_tau = dynamics.detect_switching(traj, cfg.window)
+        switch_tau = dynamics.detect_switching(traj)
     if switch_tau is not None:
         footer["switch_tau"] = switch_tau
     return columns, footer
@@ -174,7 +175,7 @@ def _escape_report(cfg: RunConfig) -> dict:
     for label, result in (("corrected", corrected), ("bare", bare)):
         report.update((f"{label}_{name}", getattr(result, name))
                       for name in _ESCAPE_FIELDS)
-    ln_ratio = corrected.ln_gamma - bare.ln_gamma
+    ln_ratio = escape.enhancement_ratio_ln(cfg.params, eps)
     report["ln_ratio"] = ln_ratio
     if abs(ln_ratio) < 700.0:
         report["ratio"] = math.exp(ln_ratio)
@@ -238,9 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", metavar="PATH",
                        help="key=value config file ([junction], [run])")
-        p.add_argument("--seedless", action="store_true",
-                       help="reserved flag; this tool uses no randomness "
-                            "and rejects it")
 
     p = sub.add_parser("derive", help="print derived scales, psi variance, epsilon")
     add_common(p)
@@ -273,12 +271,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.seedless:
-        sys.stderr.write("error: --seedless is reserved; this tool uses no "
-                         "randomness anywhere\n")
-        return EXIT_CONFIG
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        # Files the commands open turn an OSError into a ConfigError, so this
+        # one is stdout's (a closed pipe, a full device).  The interpreter
+        # flushes stdout again at exit: send that flush to nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write(f"error: cannot write to stdout: {exc}\n")
+        return EXIT_CONFIG
     except tuple(_EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))

@@ -26,7 +26,6 @@ import configparser
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .dynamics import DEFAULT_SWITCH_WINDOW
 from .errors import ConfigError, HeterojjError, InvalidAxisError
 from .escape import AxisSpec
 from .model import JunctionParams
@@ -57,7 +56,6 @@ class RunConfig:
     psi0: float = 0.0
     theta_dot0: float = 0.0
     psi_dot0: float = 0.0
-    window: float = DEFAULT_SWITCH_WINDOW
     axis1: AxisSpec = field(default_factory=lambda: AxisSpec("bias", 0.90, 0.99, 50))
     axis2: AxisSpec = field(default_factory=lambda: AxisSpec("omega_ratio", 0.5, 5.0, 50))
     out: Optional[str] = None
@@ -87,8 +85,7 @@ def parse_axis(text: str) -> AxisSpec:
 # Each [run] key and its reader, in the order the keys are read.
 _RUN_READERS = {
     "dt": float, "theta0": float, "psi0": float, "theta_dot0": float,
-    "psi_dot0": float, "window": float,
-    "n_steps": int, "stride": int,
+    "psi_dot0": float, "n_steps": int, "stride": int,
     "epsilon_override": float, "out": str.strip,
     "axis1": parse_axis, "axis2": parse_axis,
 }

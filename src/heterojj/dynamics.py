@@ -35,7 +35,10 @@ __all__ = [
     "detect_switching",
 ]
 
-DEFAULT_SWITCH_WINDOW = 2.0 * math.pi
+SWITCH_WINDOW = 2.0 * math.pi
+# equilibrium's gradient-norm goal and Newton iteration budget
+EQUILIBRIUM_TOL = 1e-12
+EQUILIBRIUM_MAX_ITER = 200
 # The most steps one integrate call takes: about 40 min of the pure-Python
 # kernel at ~2.2 us a step, and far beyond any run the commands need
 MAX_STEPS = 10**9
@@ -181,8 +184,7 @@ def integrate(initial: PhaseState, dt: float, n_steps: int,
                       dt=dt, stride=stride)
 
 
-def equilibrium(params: JunctionParams, tol: float = 1e-12,
-                max_iter: int = 200) -> Tuple[float, float]:
+def equilibrium(params: JunctionParams) -> Tuple[float, float]:
     """Static minimum (theta*, psi*) of the exact potential.
 
     Safeguarded Newton iteration on the analytic gradient starting from
@@ -190,8 +192,9 @@ def equilibrium(params: JunctionParams, tol: float = 1e-12,
     definite for the step and the step length is backtracked until the
     potential decreases, so strongly asymmetric junctions cannot trap the
     iteration in a cycle.  Near the solution this is plain Newton and the
-    gradient norm is polished below ``tol`` (widened to the rounding floor
-    of the energy scale, which only matters above E_J ~ 10^3 E_C).
+    gradient norm is polished below ``EQUILIBRIUM_TOL`` (widened to the
+    rounding floor of the energy scale, which only matters above
+    E_J ~ 10^3 E_C) within ``EQUILIBRIUM_MAX_ITER`` iterations.
 
     Raises :class:`NoEquilibriumError` when the iteration runs off the
     washboard, stalls, or lands on a non-minimum stationary point - the
@@ -199,12 +202,12 @@ def equilibrium(params: JunctionParams, tol: float = 1e-12,
     """
     energy_scale = params.ej1 + params.ej2 + params.ein
     floor = 8.0 * np.finfo(float).eps * energy_scale * max(1.0, params.bias)
-    goal = max(tol, floor)
+    goal = max(EQUILIBRIUM_TOL, floor)
     theta_start = math.asin(min(params.bias, 1.0))
     x = np.array([theta_start, 0.0])
     value = float(model.potential(x[0], x[1], params))
     converged = False
-    for _ in range(max_iter):
+    for _ in range(EQUILIBRIUM_MAX_ITER):
         grad = np.array(model.potential_gradient(x[0], x[1], params))
         if np.linalg.norm(grad) < goal:
             converged = True
@@ -284,18 +287,12 @@ def reduced_voltage(state: PhaseState, params: JunctionParams) -> float:
     return state.theta_dot / (0.5 * _inverse_mass(params)[0])
 
 
-def detect_switching(trajectory: Trajectory,
-                     window: float = DEFAULT_SWITCH_WINDOW) -> Optional[float]:
-    """Earliest tau at which theta has advanced more than ``window`` from
-    its starting value, or None if the phase stays trapped.
-
-    The default window of one full washboard period (2 pi) unambiguously
-    signals the running (voltage) state.
-    """
-    if not (window > 0):
-        raise InvalidParameterError(f"window must be positive, got {window!r}")
+def detect_switching(trajectory: Trajectory) -> Optional[float]:
+    """Earliest tau at which theta has advanced more than ``SWITCH_WINDOW``
+    (one washboard period) from its starting value, or None if the phase
+    stays trapped."""
     advance = np.abs(trajectory.theta - trajectory.theta[0])
-    hits = np.nonzero(advance > window)[0]
+    hits = np.nonzero(advance > SWITCH_WINDOW)[0]
     if hits.size == 0:
         return None
     return float(trajectory.tau[hits[0]])

@@ -30,10 +30,15 @@ __all__ = [
     "cubic_fit",
 ]
 
-MIN_GRID_POINTS = 1000
-MIN_HALFWIDTH_SIGMAS = 8.0
-DEFAULT_HALFWIDTH_SIGMAS = 10.0
+# The FD grid: interior points, levels returned, and the interval half-width
+# in ground-state sigmas, which keeps Dirichlet leakage below 1e-12
+SPECTRUM_POINTS = 2000
+SPECTRUM_LEVELS = 7
+SPECTRUM_HALFWIDTH_SIGMAS = 10.0
 RESOLUTION_SHIFT_LIMIT = 1e-3
+# The bounce quadrature's tolerance and its turning-point scan's reach
+BOUNCE_TOL = 1e-10
+BOUNCE_SEARCH_WIDTH = 2.0 * math.pi
 TURNING_SCAN_POINTS = 4096
 
 
@@ -48,8 +53,6 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     ground_psi_variance: float
-    half_width: float
-    n_points: int
     resolution_shift: float
 
 
@@ -105,25 +108,15 @@ def _fd_levels(mass: float, spring: float, half_width: float, n_points: int,
     return w, variance
 
 
-def harmonic_spectrum(params: JunctionParams, half_width: float | None = None,
-                      n_points: int = 2000, n_levels: int = 7) -> SpectrumResult:
+def harmonic_spectrum(params: JunctionParams) -> SpectrumResult:
     """Finite-difference spectrum of the relative-phase harmonic well.
 
     Quantizes H = -(1/(2 m_rlt)) d^2/dpsi^2 + (1/2) E_in psi^2 on a Dirichlet
-    interval [-L, L].  The levels form the Leggett-mode ladder: spacing
-    omega_JL, ground energy omega_JL/2, ground variance
+    interval [-L, L] of SPECTRUM_POINTS interior points, L being
+    SPECTRUM_HALFWIDTH_SIGMAS ground-state standard deviations, and returns
+    the lowest SPECTRUM_LEVELS levels.  They form the Leggett-mode ladder:
+    spacing omega_JL, ground energy omega_JL/2, ground variance
     (alpha1+alpha2)/omega_JL.
-
-    Parameters
-    ----------
-    half_width : float, optional
-        Interval half-width L.  Defaults to 10 ground-state standard
-        deviations, which keeps Dirichlet leakage below 1e-12; at least 8
-        are required.
-    n_points : int
-        Interior grid points (>= 1000).
-    n_levels : int
-        Number of eigenvalues to return (>= 2).
 
     Raises
     ------
@@ -131,37 +124,25 @@ def harmonic_spectrum(params: JunctionParams, half_width: float | None = None,
         If any level spacing changes by more than 0.1% when the grid is
         refined from N to 2N points.
     """
-    sigma = math.sqrt(escape.zero_point_variance(params))
-    if half_width is None:
-        half_width = DEFAULT_HALFWIDTH_SIGMAS * sigma
-    if half_width < MIN_HALFWIDTH_SIGMAS * sigma:
-        raise InvalidParameterError(
-            f"half_width={half_width:.6g} is below {MIN_HALFWIDTH_SIGMAS} "
-            f"ground-state sigmas ({MIN_HALFWIDTH_SIGMAS * sigma:.6g}); the hard "
-            "wall would distort the ladder")
-    if n_points < MIN_GRID_POINTS:
-        raise InvalidParameterError(
-            f"n_points={n_points} is too coarse; need at least {MIN_GRID_POINTS}")
-    if n_levels < 2:
-        raise InvalidParameterError(f"n_levels must be >= 2, got {n_levels}")
+    half_width = SPECTRUM_HALFWIDTH_SIGMAS * math.sqrt(escape.zero_point_variance(params))
     mass = derive(params).m_rlt
-    levels, variance = _fd_levels(mass, params.ein, half_width, n_points, n_levels)
-    levels_fine, _ = _fd_levels(mass, params.ein, half_width, 2 * n_points, n_levels)
+    levels, variance = _fd_levels(mass, params.ein, half_width, SPECTRUM_POINTS,
+                                  SPECTRUM_LEVELS)
+    levels_fine, _ = _fd_levels(mass, params.ein, half_width, 2 * SPECTRUM_POINTS,
+                                SPECTRUM_LEVELS)
     gaps = np.diff(levels)
     shift = float(np.max(np.abs(np.diff(levels_fine) - gaps) / gaps))
     if shift > RESOLUTION_SHIFT_LIMIT:
         raise ConvergenceError(
             f"level spacings shift by {shift:.3e} (> {RESOLUTION_SHIFT_LIMIT:.0e}) "
-            f"when refining {n_points} -> {2 * n_points} points; increase n_points "
-            "or reduce half_width")
+            f"when refining {SPECTRUM_POINTS} -> {2 * SPECTRUM_POINTS} points; "
+            "increase SPECTRUM_POINTS or reduce SPECTRUM_HALFWIDTH_SIGMAS")
     return SpectrumResult(eigenvalues=levels, ground_psi_variance=variance,
-                          half_width=half_width, n_points=n_points,
                           resolution_shift=shift)
 
 
 def bounce_action(potential_profile: Callable[[float], float], mass: float,
-                  theta_min: float, tol: float = 1e-10,
-                  search_width: float = 2.0 * math.pi) -> BounceResult:
+                  theta_min: float) -> BounceResult:
     """Zero-temperature bounce action of a one-dimensional metastable well.
 
     Evaluates B = 2 * integral of sqrt(2 m [V(theta) - V(theta_min)]) from
@@ -174,12 +155,11 @@ def bounce_action(potential_profile: Callable[[float], float], mass: float,
     ----------
     potential_profile : callable
         Potential V(theta); must have a local minimum at ``theta_min`` and a
-        finite barrier within ``search_width`` beyond it.  Barriers narrower
-        than about search_width/4000 would evade the turning-point scan.
+        finite barrier within ``BOUNCE_SEARCH_WIDTH`` beyond it.  Barriers
+        narrower than about BOUNCE_SEARCH_WIDTH/4000 would evade the
+        turning-point scan.
     mass : float
         Inertia of the coordinate (B scales as sqrt(mass)).
-    tol : float
-        Absolute and relative quadrature tolerance.
 
     Raises
     ------
@@ -192,14 +172,12 @@ def bounce_action(potential_profile: Callable[[float], float], mass: float,
 
     if not (mass > 0 and math.isfinite(mass)):
         raise InvalidParameterError(f"mass must be positive, got {mass!r}")
-    if not (tol > 0):
-        raise InvalidParameterError(f"tol must be positive, got {tol!r}")
     v_min = float(potential_profile(theta_min))
 
     def excess(theta: float) -> float:
         return float(potential_profile(theta)) - v_min
 
-    grid = theta_min + np.linspace(0.0, search_width, TURNING_SCAN_POINTS + 1)[1:]
+    grid = theta_min + np.linspace(0.0, BOUNCE_SEARCH_WIDTH, TURNING_SCAN_POINTS + 1)[1:]
     vals = np.array([excess(t) for t in grid])
     top = int(np.argmax(vals))
     if vals[top] <= 0.0:
@@ -208,7 +186,7 @@ def bounce_action(potential_profile: Callable[[float], float], mass: float,
     if crossings.size == 0:
         raise NoBarrierError(
             "no outer turning point within one washboard period "
-            f"(searched up to theta_min + {search_width:.6g})")
+            f"(searched up to theta_min + {BOUNCE_SEARCH_WIDTH:.6g})")
     k = top + int(crossings[0])
     theta_b = brentq(excess, grid[k - 1], grid[k], xtol=1e-15, rtol=8.9e-16)
 
@@ -216,6 +194,7 @@ def bounce_action(potential_profile: Callable[[float], float], mass: float,
         return math.sqrt(max(2.0 * mass * excess(theta), 0.0))
 
     mid = theta_min + 0.5 * (theta_b - theta_min)
+    tol = BOUNCE_TOL
     part1, err1 = quad(integrand, theta_min, mid, epsabs=tol, epsrel=tol, limit=200)
     s_max = math.sqrt(theta_b - mid)
     part2, err2 = quad(lambda s: integrand(theta_b - s * s) * 2.0 * s,

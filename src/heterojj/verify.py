@@ -21,9 +21,6 @@ __all__ = ["CheckResult", "run_checks", "format_table"]
 
 GRADIENT_GRID_POINTS = 50
 GRADIENT_FD_STEP = 1e-5
-SPECTRUM_POINTS = 2000
-SPECTRUM_LEVELS = 7
-BOUNCE_TOL = 1e-10
 # perfbench/workloads.py derives verify's documented exits from this exact run
 DRIFT_DT = 1e-3
 DRIFT_STEPS = 10_000
@@ -79,8 +76,7 @@ def run_checks(params: JunctionParams) -> List[CheckResult]:
            lambda: [(fluct.epsilon, fluct.epsilon_from_ratio)])
 
     def spectrum():
-        spec = oracle.harmonic_spectrum(params, n_points=SPECTRUM_POINTS,
-                                        n_levels=SPECTRUM_LEVELS)
+        spec = oracle.harmonic_spectrum(params)
         gaps = np.diff(spec.eigenvalues)[:5]
         worst_gap = float(gaps[np.argmax(np.abs(gaps - scales.omega_jl))])
         return [(worst_gap, scales.omega_jl),
@@ -95,8 +91,7 @@ def run_checks(params: JunctionParams) -> List[CheckResult]:
     def barrier():
         fit = oracle.cubic_fit(params, fluct.epsilon)
         rate = escape.escape_rate_ln(params, fluct.epsilon)
-        bounce = oracle.bounce_action(fit.profile(), scales.m_cm, fit.theta_min,
-                                      tol=BOUNCE_TOL)
+        bounce = oracle.bounce_action(fit.profile(), scales.m_cm, fit.theta_min)
         return [(bounce.action_b, rate.exponent_b),
                 (fit.barrier_height, rate.v0),
                 (fit.quad_coeff, scales.m_cm * rate.omega_p_i * rate.omega_p_i)]

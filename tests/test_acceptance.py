@@ -5,7 +5,6 @@ the one-time JIT warmup of the integrator kernel (a fixture compiles it
 before the clock starts).
 """
 
-import math
 import time
 
 import numpy as np
@@ -63,9 +62,7 @@ def test_criterion_1_epsilon_identity():
 def test_criterion_2_quantization_oracle():
     start = time.perf_counter()
     scales = derive(REF_POINT)
-    sigma = math.sqrt(zero_point_variance(REF_POINT))
-    spec = harmonic_spectrum(REF_POINT, half_width=10.0 * sigma, n_points=2000,
-                             n_levels=7)
+    spec = harmonic_spectrum(REF_POINT)
     ground_reference = scales.omega_jl / 2.0
     assert abs(spec.eigenvalues[0] - ground_reference) / ground_reference < 1e-3
     analytic_variance = zero_point_variance(REF_POINT)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heterojj import cli, escape, verify
+from heterojj import cli, escape, oracle
 from heterojj.cli import main
 
 REF_CONFIG = """
@@ -116,10 +116,17 @@ def test_unknown_key_rejected(tmp_path, capsys):
 
 
 def test_spectrum_points_key_rejected(tmp_path, capsys):
-    # the FD grid of verify's spectrum rows is verify.SPECTRUM_POINTS, not a key
+    # the FD grid of verify's spectrum rows is oracle.SPECTRUM_POINTS, not a key
     cfg = write(tmp_path, "bad.cfg", REF_CONFIG + "\n[run]\nspectrum_points = 2000\n")
     assert main(["verify", "--config", cfg]) == 2
     assert "spectrum_points" in capsys.readouterr().err
+
+
+def test_window_key_rejected(tmp_path, capsys):
+    # the switching window is dynamics.SWITCH_WINDOW, not a key
+    cfg = write(tmp_path, "bad.cfg", REF_CONFIG + "\n[run]\nwindow = 1\n")
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "'window'" in capsys.readouterr().err
 
 
 def test_unreadable_config(capsys):
@@ -141,8 +148,10 @@ def test_non_numeric_value(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["derive", "simulate", "escape", "sweep", "verify"])
 def test_seedless_rejected_everywhere(command, capsys):
-    assert main([command, "--seedless"]) == 2
-    assert "reserved" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seedless"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ simulate
@@ -231,6 +240,41 @@ def test_simulate_runaway_n_steps_exit(tmp_path):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "n_steps" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def run_module(stdout, *argv):
+    """Exit code and stderr of ``python -m heterojj`` writing to ``stdout``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "heterojj", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    return proc.returncode, proc.stderr
+
+
+def assert_stdout_refused(code, err):
+    # one error line, no traceback and no "Exception ignored" at exit
+    assert code == 2
+    assert err.startswith("error: cannot write to stdout: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_closed_stdout_pipe_exits_config(tmp_path):
+    # about 1 MB of CSV into a pipe whose read end is already closed
+    cfg = write(tmp_path, "sim.cfg", SIM_CONFIG.replace("n_steps = 2000", "n_steps = 8000"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, err = run_module(write_end, "simulate", "--config", cfg, "--stride", "1")
+    finally:
+        os.close(write_end)
+    assert_stdout_refused(code, err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_full_stdout_device_exits_config():
+    with open("/dev/full", "w") as full:
+        code, err = run_module(full, "derive")
+    assert_stdout_refused(code, err)
 
 
 # every state is finite, but an energy or a time overflows
@@ -480,7 +524,9 @@ def test_verify_inject_fails_dual_form(capsys, monkeypatch):
 
 
 def test_verify_coarse_spectrum_fails(capsys, monkeypatch):
-    monkeypatch.setattr(verify, "SPECTRUM_POINTS", 500)
+    # 1000 points over 40 sigma: the N -> 2N self-check fails the grid
+    monkeypatch.setattr(oracle, "SPECTRUM_POINTS", 1000)
+    monkeypatch.setattr(oracle, "SPECTRUM_HALFWIDTH_SIGMAS", 40.0)
     assert main(["verify"]) == 1
     assert "FAIL" in capsys.readouterr().out
 

@@ -3,7 +3,7 @@
 Config files in both [junction] styles are drawn with values that include
 0, negative numbers, NaN, infinities, 1e308 and the smallest subnormal,
 plus an optional epsilon_override, sweep axes of at most 20 points and the
-simulate keys of [run] (initial state, dt, window, stride).  ``derive``,
+simulate keys of [run] (initial state, dt, stride).  ``derive``,
 ``escape``, ``sweep`` and ``simulate`` must exit 0, 2, 3, 4, 5 or 6 without
 an exception escaping ``main``; a report printed or a trajectory CSV
 written with exit 0 holds no NaN or infinity, and a sweep written with
@@ -43,7 +43,6 @@ biases = mostly(st.floats(min_value=0.0, max_value=1.2))
 phases = mostly(st.floats(min_value=-10.0, max_value=10.0))
 velocities = mostly(st.floats(min_value=-100.0, max_value=100.0))
 steps = mostly(st.floats(min_value=1e-4, max_value=1.0))
-windows = mostly(st.floats(min_value=1e-3, max_value=10.0))
 strides = mostly(st.integers(min_value=-1, max_value=50))
 kappas = st.sampled_from(["1", "-1", "+1", "1", "-1", "0", "2", "1.5", "nan",
                           "inf", "5e-324"])
@@ -69,7 +68,6 @@ def config_text(draw):
     run.update(draw(optional(["theta0", "psi0"], phases)))
     run.update(draw(optional(["theta_dot0", "psi_dot0"], velocities)))
     run.update(draw(optional(["dt"], steps)))
-    run.update(draw(optional(["window"], windows)))
     run.update(draw(optional(["stride"], strides)))
     run["n_steps"] = draw(st.integers(-1, 200))  # the default 10 000 is not drawn
     names = draw(st.lists(st.sampled_from(AXIS_NAMES), min_size=2, max_size=2))

@@ -272,9 +272,3 @@ def test_switching_time_decreases_with_bias():
         assert tau is not None
         taus.append(tau)
     assert all(a > b for a, b in zip(taus, taus[1:]))
-
-
-def test_switching_window_validation():
-    traj = integrate(PhaseState(0.1, 0.0, 0.0, 0.0), 1e-3, 10, SYMMETRIC)
-    with pytest.raises(InvalidParameterError):
-        detect_switching(traj, window=0.0)

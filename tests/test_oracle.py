@@ -7,6 +7,7 @@ import pytest
 from heterojj import (ConvergenceError, InvalidParameterError, JunctionParams,
                       NoBarrierError, bounce_action, cubic_fit, derive, epsilon,
                       escape_rate_ln, harmonic_spectrum, zero_point_variance)
+from heterojj import oracle
 from heterojj.oracle import _fd_levels
 
 REF_POINT = JunctionParams.from_ratios(100.0, 2.0, 1.0, 0.1, 0.1, 1, 0.95)
@@ -38,22 +39,18 @@ def test_spectrum_resolution_shift_small():
     assert spec.resolution_shift < 1e-3
 
 
-def test_spectrum_preconditions():
-    with pytest.raises(InvalidParameterError):
-        harmonic_spectrum(REF_POINT, n_points=500)
-    sigma = math.sqrt(zero_point_variance(REF_POINT))
-    with pytest.raises(InvalidParameterError):
-        harmonic_spectrum(REF_POINT, half_width=5.0 * sigma)
-    with pytest.raises(InvalidParameterError):
-        harmonic_spectrum(REF_POINT, n_levels=1)
+def coarse_grid(monkeypatch):
+    """A box 40 sigma wide on 1000 points: h is too coarse for the ladder
+    (the N -> 2N spacings shift by about 1.8e-3, above the 1e-3 limit)."""
+    monkeypatch.setattr(oracle, "SPECTRUM_POINTS", 1000)
+    monkeypatch.setattr(oracle, "SPECTRUM_HALFWIDTH_SIGMAS", 40.0)
 
 
-def test_spectrum_convergence_check_fires_on_coarse_grid():
-    # A very wide box at the minimum point count makes h too coarse; the
-    # N -> 2N spacing comparison must catch it.
-    sigma = math.sqrt(zero_point_variance(REF_POINT))
+def test_spectrum_convergence_check_fires_on_coarse_grid(monkeypatch):
+    # the N -> 2N spacing comparison must catch a too-coarse grid
+    coarse_grid(monkeypatch)
     with pytest.raises(ConvergenceError):
-        harmonic_spectrum(REF_POINT, half_width=40.0 * sigma, n_points=1000)
+        harmonic_spectrum(REF_POINT)
 
 
 def test_fd_discretization_is_second_order():
@@ -98,10 +95,11 @@ def test_bounce_rejects_monotone_descent():
         bounce_action(lambda t: -3.0 * t, 0.5, 0.0)
 
 
-def test_bounce_tolerance_plateau():
+def test_bounce_tolerance_plateau(monkeypatch):
     fit = cubic_fit(REF_POINT, 0.0)
-    loose = bounce_action(fit.profile(), 0.5, fit.theta_min, tol=1e-10).action_b
-    tight = bounce_action(fit.profile(), 0.5, fit.theta_min, tol=1e-12).action_b
+    loose = bounce_action(fit.profile(), 0.5, fit.theta_min).action_b
+    monkeypatch.setattr(oracle, "BOUNCE_TOL", 1e-12)
+    tight = bounce_action(fit.profile(), 0.5, fit.theta_min).action_b
     assert abs(loose - tight) / tight < 1e-9
 
 
@@ -109,8 +107,6 @@ def test_bounce_argument_validation():
     fit = cubic_fit(REF_POINT, 0.0)
     with pytest.raises(InvalidParameterError):
         bounce_action(fit.profile(), -1.0, fit.theta_min)
-    with pytest.raises(InvalidParameterError):
-        bounce_action(fit.profile(), 0.5, fit.theta_min, tol=0.0)
 
 
 def test_full_washboard_vs_cubic_fit_gap():
@@ -177,7 +173,7 @@ SPECTRUM_ROWS = ("spectrum-ladder", "spectrum-ground-energy",
 
 
 def _run_counted(monkeypatch, params):
-    from heterojj import oracle, verify
+    from heterojj import verify
 
     calls = {"cubic_fit": 0, "harmonic_spectrum": 0}
 
@@ -207,14 +203,12 @@ def test_verify_barrier_rows_share_one_fit(monkeypatch, bias):
         assert rows[name].note == note
 
 def test_verify_failing_spectrum_runs_once(monkeypatch):
-    from heterojj import verify
-
-    monkeypatch.setattr(verify, "SPECTRUM_POINTS", 500)
+    coarse_grid(monkeypatch)
     rows, calls = _run_counted(monkeypatch, REF_POINT)
     assert calls == {"cubic_fit": 1, "harmonic_spectrum": 1}
     for name in SPECTRUM_ROWS:
         assert not rows[name].passed
-        assert rows[name].note.startswith("InvalidParameterError: n_points=500")
+        assert rows[name].note.startswith("ConvergenceError: ")
     assert all(rows[name].passed for name in BARRIER_ROWS)
 
 
