@@ -148,8 +148,8 @@ def _junction_params(section) -> JunctionParams:
 def load_config(path: str) -> RunConfig:
     """Read and validate a configuration file.
 
-    Raises :class:`ConfigError` for unreadable files, unknown sections or
-    keys, missing keys, and non-numeric values; axis specs raise
+    Raises :class:`ConfigError` for unreadable or non-UTF-8 files, unknown
+    sections or keys, missing keys, and non-numeric values; axis specs raise
     :class:`InvalidAxisError`.  Physical invariant violations surface later
     as :class:`InvalidParameterError` from :class:`JunctionParams`.
     """
@@ -161,7 +161,7 @@ def load_config(path: str) -> RunConfig:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
 
     unknown_sections = set(parser.sections()) - {"junction", "run"}

@@ -2,9 +2,9 @@
 
 Three cross-checks that deliberately avoid the closed forms they test:
 
-* a finite-difference eigensolver for the relative-phase harmonic well
-  (level ladder and ground-state variance),
-* an adaptive-quadrature bounce action for the instanton exponent,
+* a sinc-DVR eigensolver for the relative-phase harmonic well (level
+  ladder and ground-state variance),
+* a Gauss-Legendre bounce action for the instanton exponent,
 * a cubic Taylor fit of the renormalized washboard bridging the exact
   potential and the cubic-barrier formulas.
 """
@@ -30,14 +30,14 @@ __all__ = [
     "cubic_fit",
 ]
 
-# The FD grid: interior points, levels returned, and the interval half-width
-# in ground-state sigmas, which keeps Dirichlet leakage below 1e-12
-SPECTRUM_POINTS = 2000
+# The DVR grid: points, levels returned, and the box half-width in
+# ground-state sigmas, which keeps the wavefunction tails below 1e-12
+SPECTRUM_POINTS = 64
 SPECTRUM_LEVELS = 7
 SPECTRUM_HALFWIDTH_SIGMAS = 10.0
 RESOLUTION_SHIFT_LIMIT = 1e-3
-# The bounce quadrature's tolerance and its turning-point scan's reach
-BOUNCE_TOL = 1e-10
+# The bounce quadrature's Gauss-Legendre nodes and its turning-point scan's reach
+BOUNCE_NODES = 64
 BOUNCE_SEARCH_WIDTH = 2.0 * math.pi
 TURNING_SCAN_POINTS = 4096
 
@@ -92,27 +92,27 @@ class CubicFit:
         return cubic
 
 
-def _fd_levels(mass: float, spring: float, half_width: float, n_points: int,
-               n_levels: int) -> Tuple[np.ndarray, float]:
-    from scipy.linalg import eigh_tridiagonal
-
-    # Central-difference Laplacian with Dirichlet ends on [-L, L]:
-    # H = -(1/2m) d^2/dpsi^2 + (1/2) spring psi^2 over n interior points.
+def _dvr_levels(mass: float, spring: float, half_width: float, n_points: int,
+                n_levels: int) -> Tuple[np.ndarray, float]:
+    # Sinc DVR (Colbert & Miller, J. Chem. Phys. 96, 1982 (1992)) of
+    # H = -(1/2m) d^2/dpsi^2 + (1/2) spring psi^2 on n points inside [-L, L]:
+    # T_ij = (-1)^(i-j) / (2 m h^2) * (pi^2/3 if i = j else 2/(i-j)^2).
     h = 2.0 * half_width / (n_points + 1)
     x = -half_width + h * np.arange(1, n_points + 1)
-    diag = 1.0 / (mass * h * h) + 0.5 * spring * x * x
-    off = np.full(n_points - 1, -0.5 / (mass * h * h))
-    w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
+    d = np.subtract.outer(np.arange(n_points), np.arange(n_points))
+    kinetic = np.where(d == 0, math.pi ** 2 / 3.0, 2.0 / np.maximum(d * d, 1))
+    hamiltonian = np.where(d % 2, -kinetic, kinetic) / (2.0 * mass * h * h)
+    w, v = np.linalg.eigh(hamiltonian + np.diag(0.5 * spring * x * x))
     ground = v[:, 0]
     variance = float(np.sum(x * x * ground * ground) / np.sum(ground * ground))
-    return w, variance
+    return w[:n_levels], variance
 
 
 def harmonic_spectrum(params: JunctionParams) -> SpectrumResult:
-    """Finite-difference spectrum of the relative-phase harmonic well.
+    """Sinc-DVR spectrum of the relative-phase harmonic well.
 
-    Quantizes H = -(1/(2 m_rlt)) d^2/dpsi^2 + (1/2) E_in psi^2 on a Dirichlet
-    interval [-L, L] of SPECTRUM_POINTS interior points, L being
+    Quantizes H = -(1/(2 m_rlt)) d^2/dpsi^2 + (1/2) E_in psi^2 on
+    SPECTRUM_POINTS evenly spaced points inside [-L, L], L being
     SPECTRUM_HALFWIDTH_SIGMAS ground-state standard deviations, and returns
     the lowest SPECTRUM_LEVELS levels.  They form the Leggett-mode ladder:
     spacing omega_JL, ground energy omega_JL/2, ground variance
@@ -126,10 +126,10 @@ def harmonic_spectrum(params: JunctionParams) -> SpectrumResult:
     """
     half_width = SPECTRUM_HALFWIDTH_SIGMAS * math.sqrt(escape.zero_point_variance(params))
     mass = derive(params).m_rlt
-    levels, variance = _fd_levels(mass, params.ein, half_width, SPECTRUM_POINTS,
-                                  SPECTRUM_LEVELS)
-    levels_fine, _ = _fd_levels(mass, params.ein, half_width, 2 * SPECTRUM_POINTS,
-                                SPECTRUM_LEVELS)
+    levels, variance = _dvr_levels(mass, params.ein, half_width, SPECTRUM_POINTS,
+                                   SPECTRUM_LEVELS)
+    levels_fine, _ = _dvr_levels(mass, params.ein, half_width, 2 * SPECTRUM_POINTS,
+                                 SPECTRUM_LEVELS)
     gaps = np.diff(levels)
     shift = float(np.max(np.abs(np.diff(levels_fine) - gaps) / gaps))
     if shift > RESOLUTION_SHIFT_LIMIT:
@@ -146,18 +146,20 @@ def bounce_action(potential_profile: Callable[[float], float], mass: float,
     """Zero-temperature bounce action of a one-dimensional metastable well.
 
     Evaluates B = 2 * integral of sqrt(2 m [V(theta) - V(theta_min)]) from
-    the well minimum to the outer turning point.  The integrand has a
-    square-root zero at the turning point; substituting
-    theta = theta_b - s^2 there makes it smooth, restoring fast quadrature
-    convergence.
+    the well minimum to the outer turning point theta_b (Caldeira & Leggett,
+    Ann. Phys. 149, 374 (1983)) by Gauss-Legendre quadrature on
+    BOUNCE_NODES and 2 * BOUNCE_NODES nodes.  The integrand has a
+    square-root zero at theta_b; substituting
+    theta = theta_min + L (1 - (1 - t)^2), L = theta_b - theta_min, makes it
+    smooth at both ends.  ``quad_error`` is the change from n to 2n nodes.
 
     Parameters
     ----------
     potential_profile : callable
-        Potential V(theta); must have a local minimum at ``theta_min`` and a
-        finite barrier within ``BOUNCE_SEARCH_WIDTH`` beyond it.  Barriers
-        narrower than about BOUNCE_SEARCH_WIDTH/4000 would evade the
-        turning-point scan.
+        Potential V(theta), called with one float at a time; must have a
+        local minimum at ``theta_min`` and a finite barrier within
+        ``BOUNCE_SEARCH_WIDTH`` beyond it.  Barriers narrower than about
+        BOUNCE_SEARCH_WIDTH/4000 would evade the turning-point scan.
     mass : float
         Inertia of the coordinate (B scales as sqrt(mass)).
 
@@ -167,9 +169,6 @@ def bounce_action(potential_profile: Callable[[float], float], mass: float,
         If no barrier rises above the minimum, or the potential never
         returns to the minimum level within one washboard period.
     """
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
-
     if not (mass > 0 and math.isfinite(mass)):
         raise InvalidParameterError(f"mass must be positive, got {mass!r}")
     v_min = float(potential_profile(theta_min))
@@ -188,19 +187,23 @@ def bounce_action(potential_profile: Callable[[float], float], mass: float,
             "no outer turning point within one washboard period "
             f"(searched up to theta_min + {BOUNCE_SEARCH_WIDTH:.6g})")
     k = top + int(crossings[0])
-    theta_b = brentq(excess, grid[k - 1], grid[k], xtol=1e-15, rtol=8.9e-16)
+    inner, outer = float(grid[k - 1]), float(grid[k])
+    # bisect down to adjacent doubles, keeping excess(inner) > 0
+    while inner < (mid := 0.5 * (inner + outer)) < outer:
+        inner, outer = (mid, outer) if excess(mid) > 0.0 else (inner, mid)
+    span = inner - theta_min
 
-    def integrand(theta: float) -> float:
-        return math.sqrt(max(2.0 * mass * excess(theta), 0.0))
+    def action(n_nodes: int) -> float:
+        x, w = np.polynomial.legendre.leggauss(n_nodes)
+        u = 0.5 * (1.0 - x)  # 1 - t, with t = (x + 1) / 2 on [0, 1]
+        root = [math.sqrt(max(2.0 * mass * excess(theta_min + span * (1.0 - v * v)), 0.0))
+                for v in u]
+        # 2 * (1/2 of the [-1, 1] weights) * sqrt(2 m excess) * dtheta/dt
+        return float(np.sum(w * np.array(root) * 2.0 * span * u))
 
-    mid = theta_min + 0.5 * (theta_b - theta_min)
-    tol = BOUNCE_TOL
-    part1, err1 = quad(integrand, theta_min, mid, epsabs=tol, epsrel=tol, limit=200)
-    s_max = math.sqrt(theta_b - mid)
-    part2, err2 = quad(lambda s: integrand(theta_b - s * s) * 2.0 * s,
-                       0.0, s_max, epsabs=tol, epsrel=tol, limit=200)
-    return BounceResult(action_b=2.0 * (part1 + part2), theta_a=theta_min,
-                        theta_b=float(theta_b), quad_error=2.0 * (err1 + err2))
+    coarse, fine = action(BOUNCE_NODES), action(2 * BOUNCE_NODES)
+    return BounceResult(action_b=fine, theta_a=theta_min, theta_b=inner,
+                        quad_error=abs(fine - coarse))
 
 
 def cubic_fit(params: JunctionParams, eps: float) -> CubicFit:

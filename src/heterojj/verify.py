@@ -1,9 +1,10 @@
 """Self-verification suite: every closed form against an independent check.
 
-Each check compares a value the escape chain ships to its numerical oracle
-and records computed value, reference, tolerance, and pass/fail.  Rows that
-share an oracle call form a group; an exception inside the group marks all
-of its rows failed rather than aborting the suite.
+Each check compares a value the escape chain ships with a numpy oracle (a
+sinc-DVR spectrum, a Gauss-Legendre bounce, central differences, an RK4
+run) and records computed value, reference, tolerance, and pass/fail.
+Rows that share an oracle call form a group; an exception inside the group
+marks all of its rows failed rather than aborting the suite.
 """
 
 from __future__ import annotations

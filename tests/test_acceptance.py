@@ -71,7 +71,7 @@ def test_criterion_2_quantization_oracle():
     assert np.max(np.abs(gaps - scales.omega_jl)) / scales.omega_jl < 5e-3
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
-    report(2, "finite-difference quantization oracle")
+    report(2, "sinc-DVR quantization oracle")
 
 
 def test_criterion_3_instanton_exponent():

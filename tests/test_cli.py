@@ -116,7 +116,7 @@ def test_unknown_key_rejected(tmp_path, capsys):
 
 
 def test_spectrum_points_key_rejected(tmp_path, capsys):
-    # the FD grid of verify's spectrum rows is oracle.SPECTRUM_POINTS, not a key
+    # the DVR grid of verify's spectrum rows is oracle.SPECTRUM_POINTS, not a key
     cfg = write(tmp_path, "bad.cfg", REF_CONFIG + "\n[run]\nspectrum_points = 2000\n")
     assert main(["verify", "--config", cfg]) == 2
     assert "spectrum_points" in capsys.readouterr().err
@@ -131,6 +131,18 @@ def test_window_key_rejected(tmp_path, capsys):
 
 def test_unreadable_config(capsys):
     assert main(["derive", "--config", "/nonexistent/nowhere.cfg"]) == 2
+
+
+@pytest.mark.parametrize("command", ["derive", "escape", "sweep", "simulate", "verify"])
+def test_non_utf8_config_exits_config(tmp_path, capsys, command):
+    # one Latin-1 byte (a comment "# caf\xe9") is a malformed file, not a traceback
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"# caf\xe9\n" + REF_CONFIG.encode())
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed config file {str(path)!r}: ")
+    assert "can't decode byte 0xe9" in captured.err
 
 
 def test_unwritable_output_path(tmp_path, capsys):
@@ -524,9 +536,9 @@ def test_verify_inject_fails_dual_form(capsys, monkeypatch):
 
 
 def test_verify_coarse_spectrum_fails(capsys, monkeypatch):
-    # 1000 points over 40 sigma: the N -> 2N self-check fails the grid
-    monkeypatch.setattr(oracle, "SPECTRUM_POINTS", 1000)
-    monkeypatch.setattr(oracle, "SPECTRUM_HALFWIDTH_SIGMAS", 40.0)
+    # 16 points over 10 sigma: the N -> 2N self-check fails the grid
+    monkeypatch.setattr(oracle, "SPECTRUM_POINTS", 16)
+    monkeypatch.setattr(oracle, "SPECTRUM_HALFWIDTH_SIGMAS", 10.0)
     assert main(["verify"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
@@ -548,16 +560,24 @@ def test_verify_overflow_fails_without_warnings(tmp_path, capsys):
     assert [str(w.message) for w in caught] == []
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert "gradient-vs-fd" in captured.out and "PASS" not in captured.out
+    # the spectrum rows quantize omega_JL = 7.07e153 and pass; the rest fail
+    statuses = {line.split()[0]: line.split()[4] for line in captured.out.splitlines()[1:]}
+    assert statuses == {
+        "epsilon-dual-form": "FAIL", "spectrum-ladder": "PASS",
+        "spectrum-ground-energy": "PASS", "spectrum-ground-variance": "PASS",
+        "spectrum-resolution": "PASS", "bounce-vs-closed-form": "FAIL",
+        "cubic-barrier-height": "FAIL", "cubic-curvature": "FAIL",
+        "gradient-vs-fd": "FAIL", "energy-drift": "FAIL"}
 
 
 # ---------------------------------------------------------------- cold start
 
 # Runs in a fresh interpreter: the pytest process has long since imported
 # scipy (through the oracle tests), so only a new process shows what a cold
-# command loads.
+# command loads.  sys.argv[2] is run first: it blocks or imports scipy.
 SCIPY_PROBE = r"""
 import json, sys
+exec(sys.argv[2])
 from heterojj.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -565,10 +585,10 @@ sys.stdout.write("\n" + json.dumps({"codes": codes, "scipy": loaded}) + "\n")
 """
 
 
-def scipy_after(argvs):
+def scipy_after(argvs, prelude=""):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs), prelude],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
@@ -586,14 +606,21 @@ axis2 = omega_ratio:1:2:3
     codes, loaded = scipy_after([["derive", "--json", "--config", cfg],
                                  ["escape", "--config", cfg],
                                  ["sweep", "--config", cfg, "--out", stem],
-                                 ["simulate", "--config", cfg]])
-    assert codes == [0, 0, 0, 0]
+                                 ["simulate", "--config", cfg],
+                                 ["verify", "--config", cfg]])
+    assert codes == [0, 0, 0, 0, 0]
     assert (tmp_path / "cold.csv").exists()
     assert loaded == []
 
 
-def test_verify_loads_scipy():
-    # control: the probe does see scipy once an oracle has run
-    codes, loaded = scipy_after([["verify"]])
+def test_verify_passes_where_scipy_cannot_be_imported():
+    codes, loaded = scipy_after([["verify"]], 'sys.modules["scipy"] = None')
     assert codes == [0]
-    assert "scipy" in loaded
+    assert loaded == ["scipy"]  # the blocking entry itself, never a submodule
+
+
+def test_probe_sees_scipy_once_imported():
+    # control: the probe does see scipy once something has imported it
+    codes, loaded = scipy_after([["verify"]], "import scipy.integrate")
+    assert codes == [0]
+    assert "scipy" in loaded and "scipy.integrate" in loaded

@@ -4,10 +4,11 @@ Config files in both [junction] styles are drawn with values that include
 0, negative numbers, NaN, infinities, 1e308 and the smallest subnormal,
 plus an optional epsilon_override, sweep axes of at most 20 points and the
 simulate keys of [run] (initial state, dt, stride).  ``derive``,
-``escape``, ``sweep`` and ``simulate`` must exit 0, 2, 3, 4, 5 or 6 without
-an exception escaping ``main``; a report printed or a trajectory CSV
-written with exit 0 holds no NaN or infinity, and a sweep written with
-exit 0 has strict JSON and finite axis values.  The program refuses an
+``escape``, ``sweep``, ``simulate`` and ``verify`` must exit 0, 2, 3, 4, 5
+or 6 (``verify`` also 1, a failed check) without an exception escaping
+``main``; a report or table printed or a trajectory CSV written with exit 0
+holds no NaN or infinity, and a sweep written with exit 0 has strict JSON
+and finite axis values.  The program refuses an
 ``n_steps`` above ``dynamics.MAX_STEPS``; the strategy still caps it at 200,
 so that the suite stays fast.
 """
@@ -116,9 +117,11 @@ def test_every_config_maps_to_a_documented_exit_code(text):
         with open(path, "w") as fh:
             fh.write(text)
         for argv in (["derive"], ["derive", "--json"], ["escape"], ["escape", "--json"],
-                     ["sweep", "--out", "grid"], ["simulate", "--out", "run.csv"]):
+                     ["sweep", "--out", "grid"], ["simulate", "--out", "run.csv"],
+                     ["verify"]):
             code, out, _ = run_cli(argv + ["--config", path], workdir)
-            assert code in DOCUMENTED_EXITS, (argv, code)
+            assert code in DOCUMENTED_EXITS | ({1} if argv == ["verify"] else set()), \
+                (argv, code)
             if code == 0:
                 assert not re.search(r"nan|inf", out, re.IGNORECASE), (argv, out)
             if code == 0 and argv[0] == "sweep":

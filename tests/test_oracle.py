@@ -8,12 +8,12 @@ from heterojj import (ConvergenceError, InvalidParameterError, JunctionParams,
                       NoBarrierError, bounce_action, cubic_fit, derive, epsilon,
                       escape_rate_ln, harmonic_spectrum, zero_point_variance)
 from heterojj import oracle
-from heterojj.oracle import _fd_levels
+from heterojj.oracle import _dvr_levels
 
 REF_POINT = JunctionParams.from_ratios(100.0, 2.0, 1.0, 0.1, 0.1, 1, 0.95)
 
 
-# ------------------------------------------------------------- FD spectrum
+# ------------------------------------------------------------ DVR spectrum
 
 def test_ladder_is_harmonic():
     spec = harmonic_spectrum(REF_POINT)
@@ -40,10 +40,10 @@ def test_spectrum_resolution_shift_small():
 
 
 def coarse_grid(monkeypatch):
-    """A box 40 sigma wide on 1000 points: h is too coarse for the ladder
-    (the N -> 2N spacings shift by about 1.8e-3, above the 1e-3 limit)."""
-    monkeypatch.setattr(oracle, "SPECTRUM_POINTS", 1000)
-    monkeypatch.setattr(oracle, "SPECTRUM_HALFWIDTH_SIGMAS", 40.0)
+    """A box 20 sigma wide on 16 points: h is too coarse for the ladder
+    (the N -> 2N spacings shift by about 0.28, above the 1e-3 limit)."""
+    monkeypatch.setattr(oracle, "SPECTRUM_POINTS", 16)
+    monkeypatch.setattr(oracle, "SPECTRUM_HALFWIDTH_SIGMAS", 10.0)
 
 
 def test_spectrum_convergence_check_fires_on_coarse_grid(monkeypatch):
@@ -53,16 +53,21 @@ def test_spectrum_convergence_check_fires_on_coarse_grid(monkeypatch):
         harmonic_spectrum(REF_POINT)
 
 
-def test_fd_discretization_is_second_order():
+def test_dvr_converges_exponentially():
+    # the error ratio of successive grids grows, which no power law of h
+    # does, and by 32 points the ground energy is exact to 1e-10
     scales = derive(REF_POINT)
     sigma = math.sqrt(zero_point_variance(REF_POINT))
-    errors = []
-    for n in (500, 1000, 2000):
-        levels, _ = _fd_levels(scales.m_rlt, REF_POINT.ein, 10.0 * sigma, n, 3)
-        errors.append(abs(levels[0] - scales.omega_jl / 2))
-    for coarse, fine in zip(errors, errors[1:]):
-        order = math.log2(coarse / fine)
-        assert 1.8 < order < 2.2
+    ground = scales.omega_jl / 2
+
+    def error(n):
+        levels, _ = _dvr_levels(scales.m_rlt, REF_POINT.ein, 10.0 * sigma, n, 3)
+        return abs(levels[0] - ground) / ground
+
+    errors = [error(n) for n in (8, 12, 16, 20, 24)]
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(a < b for a, b in zip(ratios, ratios[1:])), ratios
+    assert error(32) < 1e-10
 
 
 # ------------------------------------------------------------ bounce action
@@ -95,12 +100,39 @@ def test_bounce_rejects_monotone_descent():
         bounce_action(lambda t: -3.0 * t, 0.5, 0.0)
 
 
-def test_bounce_tolerance_plateau(monkeypatch):
+def test_bounce_node_doubling_plateau(monkeypatch):
     fit = cubic_fit(REF_POINT, 0.0)
     loose = bounce_action(fit.profile(), 0.5, fit.theta_min).action_b
-    monkeypatch.setattr(oracle, "BOUNCE_TOL", 1e-12)
+    monkeypatch.setattr(oracle, "BOUNCE_NODES", 128)
     tight = bounce_action(fit.profile(), 0.5, fit.theta_min).action_b
-    assert abs(loose - tight) / tight < 1e-9
+    assert abs(loose - tight) / tight < 1e-12
+
+
+def _washboard(bias):
+    return lambda theta: -100.0 * (math.cos(theta) + bias * theta)
+
+
+@pytest.mark.parametrize("case", ["cubic", 0.90, 0.95, 0.98])
+def test_bounce_matches_adaptive_quadrature(case):
+    # scipy is the arbiter: its own turning point (brentq from the barrier
+    # top, or the cubic's closed-form exit) and adaptive quadrature
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    if case == "cubic":
+        fit = cubic_fit(REF_POINT, 0.0)
+        profile, theta_min = fit.profile(), fit.theta_min
+        theta_b = fit.theta_exit
+    else:
+        profile, theta_min = _washboard(case), math.asin(case)
+        theta_b = brentq(lambda t: profile(t) - profile(theta_min),
+                         math.pi - theta_min, theta_min + 2.0 * math.pi, xtol=1e-15)
+    mass, v_min = 0.5, profile(theta_min)
+    half, _ = quad(lambda t: math.sqrt(max(2.0 * mass * (profile(t) - v_min), 0.0)),
+                   theta_min, theta_b, epsabs=1e-13, epsrel=1e-13, limit=200)
+    result = bounce_action(profile, mass, theta_min)
+    assert result.theta_b == pytest.approx(theta_b, abs=1e-12)
+    assert abs(result.action_b - 2.0 * half) / (2.0 * half) < 1e-10
 
 
 def test_bounce_argument_validation():
