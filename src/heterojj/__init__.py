@@ -8,42 +8,52 @@ resulting enhancement of the quantum escape rate, with built-in independent
 numerical oracles for every closed form.
 
 Reduced units throughout: hbar = 1, charging energy E_C = 1.
-"""
 
-from .dynamics import (PhaseState, Trajectory, acceleration, detect_switching,
-                       equilibrium, integrate, reduced_voltage,
-                       small_oscillation_frequencies)
-from .errors import (ConfigError, ConvergenceError, HeterojjError,
-                     InvalidAxisError, InvalidParameterError, NoBarrierError,
-                     NoEquilibriumError, NonFiniteStateError)
-from .escape import (AxisSpec, EscapeResult, FluctuationRenorm, SweepGrid,
-                     effective_potential, enhancement_ratio_ln, epsilon,
-                     escape_rate_ln, sweep_grid, zero_point_variance)
-from .model import (DerivedScales, JunctionParams, combine_phases, derive,
-                    potential, potential_gradient, potential_hessian,
-                    split_phases)
-from .oracle import (BounceResult, CubicFit, SpectrumResult, bounce_action,
-                     cubic_fit, harmonic_spectrum)
+The public names load with their module on first access, so a command
+imports only the modules it runs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # model
-    "JunctionParams", "DerivedScales", "derive", "split_phases",
-    "combine_phases", "potential", "potential_gradient", "potential_hessian",
-    # dynamics
-    "PhaseState", "Trajectory", "acceleration", "integrate", "equilibrium",
-    "small_oscillation_frequencies", "reduced_voltage", "detect_switching",
-    # escape
-    "FluctuationRenorm", "EscapeResult", "AxisSpec", "SweepGrid",
-    "zero_point_variance", "epsilon", "effective_potential", "escape_rate_ln",
-    "enhancement_ratio_ln", "sweep_grid",
-    # oracle
-    "SpectrumResult", "BounceResult", "CubicFit", "harmonic_spectrum",
-    "bounce_action", "cubic_fit",
-    # errors
-    "HeterojjError", "InvalidParameterError", "ConfigError",
-    "NoEquilibriumError", "NoBarrierError", "NonFiniteStateError",
-    "InvalidAxisError", "ConvergenceError",
-]
+# Each submodule and the public names it defines.
+_EXPORTS = {
+    "model": ("JunctionParams", "DerivedScales", "derive", "split_phases",
+              "combine_phases", "potential", "potential_gradient",
+              "potential_hessian"),
+    "dynamics": ("PhaseState", "Trajectory", "acceleration", "integrate",
+                 "equilibrium", "small_oscillation_frequencies",
+                 "reduced_voltage", "detect_switching"),
+    "escape": ("FluctuationRenorm", "EscapeResult", "AxisSpec", "SweepGrid",
+               "zero_point_variance", "epsilon", "effective_potential",
+               "escape_rate_ln", "enhancement_ratio_ln", "sweep_grid"),
+    "oracle": ("SpectrumResult", "BounceResult", "CubicFit", "harmonic_spectrum",
+               "bounce_action", "cubic_fit"),
+    "errors": ("HeterojjError", "InvalidParameterError", "ConfigError",
+               "NoEquilibriumError", "NoBarrierError", "NonFiniteStateError",
+               "InvalidAxisError", "ConvergenceError"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def _submodule(module):
+    # __import__, unlike importlib.import_module, shows in python -X importtime;
+    # the import binds the submodule in this namespace
+    __import__(f"{__name__}.{module}")
+    return globals()[module]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return _submodule(name)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_submodule(_MODULE_OF[name]), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from . import __version__, dynamics, escape, verify
+from . import __version__, escape
 from .config import RunConfig, default_config, load_config
 from .errors import (ConfigError, InvalidAxisError, InvalidParameterError,
                      NoBarrierError, NoEquilibriumError, NonFiniteStateError)
@@ -102,12 +102,13 @@ def _write_report(report: dict, as_json: bool) -> int:
 def _csv(columns: dict, *footer: str) -> Iterator[str]:
     """CSV text in pieces of at most CSV_CHUNK_ROWS rows: a header of the
     column names, one row per array element (floats with 17 significant
-    digits, bools as 1/0) and the footer lines, each line ended by a newline.
+    digits, bools as 1/0, objects such as strings as they are) and the
+    footer lines, each line ended by a newline.
 
     Only one piece of text is held at a time, so writing the pieces as they
     come keeps the text in memory bounded by the chunk, not the run.
     """
-    row = ",".join("%d" if col.dtype == bool else "%.17g"
+    row = ",".join({"b": "%d", "O": "%s"}.get(col.dtype.kind, "%.17g")
                    for col in columns.values()) + "\n"
     rows = zip(*columns.values())
     yield ",".join(columns) + "\n"
@@ -122,6 +123,7 @@ def cmd_derive(args) -> int:
 
 def _simulate(cfg: RunConfig, stride: int):
     """The trajectory's CSV columns and its footer values, by name."""
+    from . import dynamics  # only simulate loads the integrator
     initial = dynamics.PhaseState(cfg.theta0, cfg.psi0,
                                   cfg.theta_dot0, cfg.psi_dot0)
     traj = dynamics.integrate(initial, cfg.dt, cfg.n_steps, cfg.params,
@@ -191,6 +193,25 @@ def _axis_json(axis: escape.AxisSpec) -> dict:
             "count": axis.count}
 
 
+def _sweep_json(head: dict, grids: dict) -> str:
+    """``json.dumps({**head, **grids}, indent=2)``, each grid (a list of rows
+    of numbers, None and bools) written a row at a time by the C encoder,
+    which json.dumps uses only without indent."""
+    text = json.dumps(head, indent=2)[:-2]  # without its closing "\n}"
+    for key, rows in grids.items():
+        # separators that put one cell per line at the grid cells' depth
+        body = ",\n".join("    [\n      " + json.dumps(row, separators=(",\n      ", ": "))[1:-1]
+                          + "\n    ]" for row in rows)
+        text += f",\n  {json.dumps(key)}: [\n{body}\n  ]"
+    return text + "\n}"
+
+
+def _axis_labels(axis: escape.AxisSpec) -> np.ndarray:
+    """The axis values as CSV text, each formatted once.  Held as objects,
+    so the CSV rows take these str objects instead of a new numpy str each."""
+    return np.array(["%.17g" % value for value in axis.values()], dtype=object)
+
+
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     grid = escape.sweep_grid(cfg.params, cfg.axis1, cfg.axis2,
@@ -199,21 +220,23 @@ def cmd_sweep(args) -> int:
     csv_path = stem + ".csv"
     json_path = stem + ".json"
     _write_text(csv_path, _csv({
-        grid.axis1.name: np.repeat(grid.axis1.values(), grid.axis2.count),
-        grid.axis2.name: np.tile(grid.axis2.values(), grid.axis1.count),
+        grid.axis1.name: np.repeat(_axis_labels(grid.axis1), grid.axis2.count),
+        grid.axis2.name: np.tile(_axis_labels(grid.axis2), grid.axis1.count),
         "ln_ratio": grid.values.ravel(),
         "valid": grid.valid.ravel(),
     }))
-    document = {
+    head = {
         "axis1": _axis_json(grid.axis1),
         "axis2": _axis_json(grid.axis2),
         "base_params": asdict(grid.base),
         "epsilon_override": cfg.epsilon_override,
         "quantity": "ln_gamma_ratio",
+    }
+    grids = {
         "ln_ratio": np.where(grid.valid, grid.values, None).tolist(),
         "valid": grid.valid.tolist(),
     }
-    _write_text(json_path, [json.dumps(document, indent=2), "\n"])
+    _write_text(json_path, [_sweep_json(head, grids), "\n"])
     if not grid.valid.any():
         sys.stderr.write("warning: no valid cells in the requested grid\n")
     sys.stdout.write(f"wrote {csv_path} and {json_path}\n")
@@ -221,6 +244,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # only verify loads the oracles
     results = verify.run_checks(_load(args).params)
     sys.stdout.write(verify.format_table(results) + "\n")
     if all(r.passed for r in results):

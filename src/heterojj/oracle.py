@@ -120,11 +120,18 @@ def harmonic_spectrum(params: JunctionParams) -> SpectrumResult:
 
     Raises
     ------
+    InvalidParameterError
+        If the box is not finite (<psi^2> overflows, for one at a tiny E_in):
+        eigh would return NaN levels without raising.
     ConvergenceError
         If any level spacing changes by more than 0.1% when the grid is
         refined from N to 2N points.
     """
     half_width = SPECTRUM_HALFWIDTH_SIGMAS * math.sqrt(escape.zero_point_variance(params))
+    if not math.isfinite(half_width):
+        raise InvalidParameterError(
+            f"the DVR psi box half-width is not finite ({half_width!r}): "
+            "<psi^2> overflows double precision")
     mass = derive(params).m_rlt
     levels, variance = _dvr_levels(mass, params.ein, half_width, SPECTRUM_POINTS,
                                    SPECTRUM_LEVELS)

@@ -436,6 +436,19 @@ def test_sweep_outputs_and_determinism(tmp_path, capsys, monkeypatch):
     assert doc["base_params"]["ej1"] == 50.0
     assert len(doc["ln_ratio"]) == 5 and len(doc["ln_ratio"][0]) == 5
     assert all(all(isinstance(v, float) for v in row) for row in doc["ln_ratio"])
+    assert (tmp_path / "a.json").read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_sweep_json_is_json_dumps_with_indent():
+    # the row-by-row rendering against the stdlib's indented encoder, on
+    # nulls, bools, a negative zero, the smallest subnormal and the largest
+    # double, and on a head with nested objects
+    head = {"axis1": {"name": "bias", "min": 0.9, "max": 1.0, "count": 3},
+            "base_params": {"ej1": 50.0, "kappa": -1}, "epsilon_override": None,
+            "quantity": "ln_gamma_ratio"}
+    grids = {"ln_ratio": [[None, -0.0, 5e-324], [1.7976931348623157e308, 0.1, None]],
+             "valid": [[False, True, True], [True, True, False]]}
+    assert cli._sweep_json(head, grids) == json.dumps({**head, **grids}, indent=2)
 
 
 def test_sweep_all_invalid_grid_warns_but_succeeds(tmp_path, capsys, monkeypatch):
@@ -570,29 +583,45 @@ def test_verify_overflow_fails_without_warnings(tmp_path, capsys):
         "gradient-vs-fd": "FAIL", "energy-drift": "FAIL"}
 
 
+def test_verify_non_finite_dvr_box_names_it(tmp_path, capsys):
+    # <psi^2> overflows at the smallest E_in: the spectrum rows say so
+    # instead of printing the NaN levels eigh returns without raising
+    cfg = write(tmp_path, "tiny.cfg", "[junction]\nej1 = 50\nej2 = 50\nein = 5e-324\n")
+    assert main(["verify", "--config", cfg]) == 1
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("spectrum-")]
+    assert len(rows) == 4
+    assert all("FAIL  [InvalidParameterError: the DVR psi box half-width is not "
+               "finite (inf)" in row for row in rows)
+
+
 # ---------------------------------------------------------------- cold start
 
 # Runs in a fresh interpreter: the pytest process has long since imported
-# scipy (through the oracle tests), so only a new process shows what a cold
-# command loads.  sys.argv[2] is run first: it blocks or imports scipy.
+# scipy (through the oracle tests) and every heterojj module, so only a new
+# process shows what a cold command loads.  sys.argv[2] is run first: it
+# blocks or imports scipy.
 SCIPY_PROBE = r"""
 import json, sys
 exec(sys.argv[2])
 from heterojj.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-sys.stdout.write("\n" + json.dumps({"codes": codes, "scipy": loaded}) + "\n")
+loaded = {top: sorted(m for m in sys.modules if m == top or m.startswith(top + "."))
+          for top in ("scipy", "heterojj")}
+sys.stdout.write("\n" + json.dumps({"codes": codes, **loaded}) + "\n")
 """
 
 
-def scipy_after(argvs, prelude=""):
+def loaded_after(argvs, prelude=""):
+    """Exit codes of the commands run in one fresh interpreter, and the
+    scipy and heterojj modules loaded after them."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs), prelude],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    return result["codes"], result["scipy"]
+    return result["codes"], result["scipy"], result["heterojj"]
 
 
 def test_cold_commands_load_no_scipy(tmp_path):
@@ -603,24 +632,43 @@ axis1 = bias:0.90:0.95:3
 axis2 = omega_ratio:1:2:3
 """)
     stem = str(tmp_path / "cold")
-    codes, loaded = scipy_after([["derive", "--json", "--config", cfg],
-                                 ["escape", "--config", cfg],
-                                 ["sweep", "--config", cfg, "--out", stem],
-                                 ["simulate", "--config", cfg],
-                                 ["verify", "--config", cfg]])
+    codes, loaded, _ = loaded_after([["derive", "--json", "--config", cfg],
+                                     ["escape", "--config", cfg],
+                                     ["sweep", "--config", cfg, "--out", stem],
+                                     ["simulate", "--config", cfg],
+                                     ["verify", "--config", cfg]])
     assert codes == [0, 0, 0, 0, 0]
     assert (tmp_path / "cold.csv").exists()
     assert loaded == []
 
 
+def test_cold_commands_load_only_their_modules(tmp_path):
+    cfg = write(tmp_path, "cold.cfg", REF_CONFIG + "[run]\nn_steps = 100\n")
+    stem = str(tmp_path / "cold")
+    integrator = {"heterojj.dynamics", "heterojj._kernels"}
+    oracles = {"heterojj.oracle", "heterojj.verify"}
+    codes, _, loaded = loaded_after([["derive", "--config", cfg],
+                                     ["escape", "--config", cfg],
+                                     ["sweep", "--config", cfg, "--out", stem]])
+    assert codes == [0, 0, 0]
+    assert loaded == ["heterojj", "heterojj.cli", "heterojj.config", "heterojj.errors",
+                      "heterojj.escape", "heterojj.model"]
+    codes, _, loaded = loaded_after([["simulate", "--config", cfg]])
+    assert codes == [0]
+    assert integrator <= set(loaded) and not oracles & set(loaded)
+    codes, _, loaded = loaded_after([["verify", "--config", cfg]])
+    assert codes == [0]
+    assert integrator | oracles <= set(loaded)
+
+
 def test_verify_passes_where_scipy_cannot_be_imported():
-    codes, loaded = scipy_after([["verify"]], 'sys.modules["scipy"] = None')
+    codes, loaded, _ = loaded_after([["verify"]], 'sys.modules["scipy"] = None')
     assert codes == [0]
     assert loaded == ["scipy"]  # the blocking entry itself, never a submodule
 
 
 def test_probe_sees_scipy_once_imported():
     # control: the probe does see scipy once something has imported it
-    codes, loaded = scipy_after([["verify"]], "import scipy.integrate")
+    codes, loaded, _ = loaded_after([["verify"]], "import scipy.integrate")
     assert codes == [0]
     assert "scipy" in loaded and "scipy.integrate" in loaded
