@@ -1,9 +1,12 @@
 import dataclasses
+import errno
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -270,16 +273,23 @@ def assert_stdout_refused(code, err):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_closed_stdout_pipe_exits_config(tmp_path):
-    # about 1 MB of CSV into a pipe whose read end is already closed
-    cfg = write(tmp_path, "sim.cfg", SIM_CONFIG.replace("n_steps = 2000", "n_steps = 8000"))
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        code, err = run_module(write_end, "simulate", "--config", cfg, "--stride", "1")
-    finally:
-        os.close(write_end)
-    assert_stdout_refused(code, err)
+    # about 1 MB of CSV, and a table long enough to be split with a helper
+    # process, into a pipe whose read end is already closed
+    for n_steps in (8000, 2 * cli.CSV_SPLIT_ROWS + 1):
+        cfg = write(tmp_path, "sim.cfg", SIM_CONFIG.replace("n_steps = 2000", f"n_steps = {n_steps}"))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, err = run_module(write_end, "simulate", "--config", cfg, "--stride", "1")
+        finally:
+            os.close(write_end)
+        assert_stdout_refused(code, err)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
@@ -287,6 +297,40 @@ def test_full_stdout_device_exits_config():
     with open("/dev/full", "w") as full:
         code, err = run_module(full, "derive")
     assert_stdout_refused(code, err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_full_output_file_stops_the_csv_helper(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_second_cpu", lambda: hasattr(os, "fork"))
+    cfg = write(tmp_path, "sim.cfg",
+                SIM_CONFIG.replace("n_steps = 2000", f"n_steps = {2 * cli.CSV_SPLIT_ROWS + 1}"))
+    assert main(["simulate", "--config", cfg, "--stride", "1", "--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output file '/dev/full': ")
+    assert err.count("\n") == 1
+    assert_no_child_left()
+
+
+class UnwritableFile(io.StringIO):
+    """A temporary file whose writes fail, as on a full disk."""
+
+    def writelines(self, lines):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_failed_csv_helper_exits_config(tmp_path, capsys, monkeypatch, to_file):
+    monkeypatch.setattr(cli, "_second_cpu", lambda: True)
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs: UnwritableFile())
+    cfg = write(tmp_path, "sim.cfg",
+                SIM_CONFIG.replace("n_steps = 2000", f"n_steps = {cli.CSV_SPLIT_ROWS}"))
+    out = ["--out", str(tmp_path / "run.csv")] if to_file else []
+    assert main(["simulate", "--config", cfg, "--stride", "1", *out]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: the process formatting the second half of the CSV rows "
+                   "exited with status 1\n")
+    assert_no_child_left()
 
 
 # every state is finite, but an energy or a time overflows
@@ -327,16 +371,70 @@ def test_simulate_huge_stride_exits_invariant(tmp_path, capsys, dt, run, option)
     assert capsys.readouterr().err.startswith("error: stride is too large")
 
 
-@pytest.mark.parametrize("n_rows", [1, cli.CSV_CHUNK_ROWS - 1, cli.CSV_CHUNK_ROWS,
-                                    cli.CSV_CHUNK_ROWS + 1, 2 * cli.CSV_CHUNK_ROWS + 3])
-def test_csv_pieces_join_to_the_whole_text(n_rows):
+def table(n_rows):
+    """Float, bool and object columns of ``n_rows`` rows, with their CSV
+    text formatted here as the reference."""
     x = np.arange(n_rows) * math.pi - 1e5
     flag = np.arange(n_rows) % 3 == 0
+    label = np.array([f"r{i}" for i in range(n_rows)], dtype=object)
     footer = ("# a=1", "# b=-2.5")
-    pieces = list(cli._csv({"x": x, "x_sq": x * x, "flag": flag}, *footer))
-    rows = [f"{a:.17g},{a * a:.17g},{int(b)}" for a, b in zip(x.tolist(), flag.tolist())]
-    assert "".join(pieces) == "\n".join(["x,x_sq,flag", *rows, *footer, ""])
+    rows = [f"{a:.17g},{a * a:.17g},{int(b)},r{i}"
+            for i, (a, b) in enumerate(zip(x.tolist(), flag.tolist()))]
+    text = "\n".join(["x,x_sq,flag,label", *rows, *footer, ""])
+    return {"x": x, "x_sq": x * x, "flag": flag, "label": label}, footer, text
+
+
+# Above CSV_SPLIT_ROWS a forked helper formats the second half of the rows,
+# on any machine that has os.fork
+@pytest.mark.parametrize("n_rows", [1, cli.CSV_CHUNK_ROWS - 1, cli.CSV_CHUNK_ROWS,
+                                    cli.CSV_CHUNK_ROWS + 1, 2 * cli.CSV_CHUNK_ROWS + 3,
+                                    cli.CSV_SPLIT_ROWS - 1, cli.CSV_SPLIT_ROWS,
+                                    cli.CSV_SPLIT_ROWS + 1, 2 * cli.CSV_SPLIT_ROWS + 7])
+def test_csv_pieces_join_to_the_whole_text(n_rows, monkeypatch):
+    monkeypatch.setattr(cli, "_second_cpu", lambda: hasattr(os, "fork"))
+    columns, footer, text = table(n_rows)
+    pieces = list(cli._csv(columns, *footer))
+    assert "".join(pieces) == text
     assert max(piece.count("\n") for piece in pieces) <= cli.CSV_CHUNK_ROWS
+    assert_no_child_left()
+
+
+def start_no_helper():
+    raise AssertionError("a helper process was started")
+
+
+def refuse(*args, **kwargs):
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+def one_cpu(mp):
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    mp.setattr(os, "cpu_count", lambda: 1)
+    mp.setattr(os, "fork", start_no_helper, raising=False)
+
+
+def no_fork(mp):
+    mp.delattr(os, "fork", raising=False)
+
+
+def fork_fails(mp):
+    mp.setattr(cli, "_second_cpu", lambda: True)
+    mp.setattr(os, "fork", refuse)
+
+
+def no_temp_file(mp):
+    mp.setattr(cli, "_second_cpu", lambda: True)
+    mp.setattr(tempfile, "TemporaryFile", refuse)
+
+
+# With no second CPU, no os.fork, or no helper to be had, the rows are
+# formatted in this process alone.
+@pytest.mark.parametrize("patch", [one_cpu, no_fork, fork_fails, no_temp_file])
+def test_csv_without_a_helper_is_the_same_text(monkeypatch, patch):
+    columns, footer, text = table(cli.CSV_SPLIT_ROWS + 1)
+    patch(monkeypatch)
+    assert "".join(cli._csv(columns, *footer)) == text
+    assert_no_child_left()
 
 
 # The CSV text is formatted and written a chunk of rows at a time, so a long
@@ -344,8 +442,16 @@ def test_csv_pieces_join_to_the_whole_text(n_rows):
 # whole copy of the text (about 140 B a row here, with psi moving).
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
 def test_simulate_text_memory_stays_below_the_csv_size(tmp_path, monkeypatch, to_file):
+    # long enough for the split with a helper process wherever it can run
+    n_steps = 40000
+    assert n_steps > cli.CSV_SPLIT_ROWS
+    forks = []
+    if hasattr(os, "fork"):
+        monkeypatch.setattr(cli, "_second_cpu", lambda: True)
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     cfg = write(tmp_path, "sim.cfg",
-                SIM_CONFIG.replace("n_steps = 2000", "n_steps = 40000") + "psi0 = 0.01\n")
+                SIM_CONFIG.replace("n_steps = 2000", f"n_steps = {n_steps}") + "psi0 = 0.01\n")
     out = tmp_path / ("run.csv" if to_file else "stdout.csv")
     argv = ["simulate", "--config", cfg, "--stride", "1"]
     if to_file:
@@ -359,6 +465,8 @@ def test_simulate_text_memory_stays_below_the_csv_size(tmp_path, monkeypatch, to
         finally:
             tracemalloc.stop()
     assert code == 0
+    assert forks == ([1] if hasattr(os, "fork") else [])
+    assert_no_child_left()
     size = out.stat().st_size
     assert peak < size, f"traced peak {peak} B for a CSV of {size} B"
 
