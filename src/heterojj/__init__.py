@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 # Each submodule and the public names it defines.
 _EXPORTS = {
     "model": ("JunctionParams", "DerivedScales", "derive", "split_phases",
-              "combine_phases", "potential", "potential_gradient",
-              "potential_hessian"),
+              "potential", "potential_gradient", "potential_hessian"),
     "dynamics": ("PhaseState", "Trajectory", "acceleration", "integrate",
                  "equilibrium", "small_oscillation_frequencies",
                  "reduced_voltage", "detect_switching"),

@@ -236,11 +236,10 @@ def cmd_simulate(args) -> int:
         finite = np.isfinite(values)
         if not finite.all():
             return _refuse(name, float(np.extract(~finite, values)[0]), "CSV")
-    out = args.out or cfg.out
     # closing stops a helper process at once if a write fails
     with closing(_csv(columns, *(f"# {name}={value:.17g}" for name, value in footer.items()))) as pieces:
-        if out:
-            _write_text(out, pieces)
+        if args.out:
+            _write_text(args.out, pieces)
         else:
             sys.stdout.writelines(pieces)
     return EXIT_OK
@@ -248,14 +247,13 @@ def cmd_simulate(args) -> int:
 
 def _escape_report(cfg: RunConfig) -> dict:
     fluct = escape.epsilon(cfg.params)
-    eps = cfg.epsilon_override if cfg.epsilon_override is not None else fluct.epsilon
-    corrected = escape.escape_rate_ln(cfg.params, eps)
+    corrected = escape.escape_rate_ln(cfg.params, fluct.epsilon)
     bare = escape.escape_rate_ln(cfg.params, 0.0)
-    report = {"epsilon": eps, "psi_variance": fluct.psi_variance}
+    report = {"epsilon": fluct.epsilon, "psi_variance": fluct.psi_variance}
     for label, result in (("corrected", corrected), ("bare", bare)):
         report.update((f"{label}_{name}", getattr(result, name))
                       for name in _ESCAPE_FIELDS)
-    ln_ratio = escape.enhancement_ratio_ln(cfg.params, eps)
+    ln_ratio = escape.enhancement_ratio_ln(cfg.params)
     report["ln_ratio"] = ln_ratio
     if abs(ln_ratio) < 700.0:
         report["ratio"] = math.exp(ln_ratio)
@@ -292,9 +290,8 @@ def _axis_labels(axis: escape.AxisSpec) -> np.ndarray:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    grid = escape.sweep_grid(cfg.params, cfg.axis1, cfg.axis2,
-                             eps_override=cfg.epsilon_override)
-    stem = args.out or cfg.out or "sweep"
+    grid = escape.sweep_grid(cfg.params, cfg.axis1, cfg.axis2)
+    stem = args.out or "sweep"
     csv_path = stem + ".csv"
     json_path = stem + ".json"
     with closing(_csv({
@@ -308,7 +305,6 @@ def cmd_sweep(args) -> int:
         "axis1": _axis_json(grid.axis1),
         "axis2": _axis_json(grid.axis2),
         "base_params": asdict(grid.base),
-        "epsilon_override": cfg.epsilon_override,
         "quantity": "ln_gamma_ratio",
     }
     grids = {

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import ConfigError, HeterojjError, InvalidAxisError
 from .escape import AxisSpec
@@ -58,8 +57,6 @@ class RunConfig:
     psi_dot0: float = 0.0
     axis1: AxisSpec = field(default_factory=lambda: AxisSpec("bias", 0.90, 0.99, 50))
     axis2: AxisSpec = field(default_factory=lambda: AxisSpec("omega_ratio", 0.5, 5.0, 50))
-    out: Optional[str] = None
-    epsilon_override: Optional[float] = None
 
 
 def default_config() -> RunConfig:
@@ -86,7 +83,6 @@ def parse_axis(text: str) -> AxisSpec:
 _RUN_READERS = {
     "dt": float, "theta0": float, "psi0": float, "theta_dot0": float,
     "psi_dot0": float, "n_steps": int, "stride": int,
-    "epsilon_override": float, "out": str.strip,
     "axis1": parse_axis, "axis2": parse_axis,
 }
 _NOUNS = {float: "a number", int: "an integer"}

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -242,13 +242,12 @@ def escape_rate_ln(params: JunctionParams, eps: float) -> EscapeResult:
     return _instanton(derive(params).omega_p, params.bias, eps)
 
 
-def enhancement_ratio_ln(params: JunctionParams,
-                         eps_override: Optional[float] = None) -> float:
+def enhancement_ratio_ln(params: JunctionParams) -> float:
     """ln(Gamma/Gamma0): corrected minus bare log escape rate.
 
-    Gamma0 uses the same parameters with eps forced to zero.  By default eps
-    is computed from the parameters; ``eps_override`` substitutes a fixed
-    value instead (eps_override = 0 gives exactly 0.0).
+    Gamma uses eps computed from the parameters by :func:`epsilon`; Gamma0
+    uses the same parameters with eps forced to zero.  For a chosen eps,
+    take the difference of two :func:`escape_rate_ln` results.
 
     At fixed bias the ratio rises with eps while the corrected exponent
     B_eps > 7/10, peaks at B_eps = 7/10 and falls beyond it (prefactor
@@ -256,14 +255,12 @@ def enhancement_ratio_ln(params: JunctionParams,
     omega_P/omega_JL wherever B_eps >= 7/10, the semiclassical domain
     B_eps >> 1 included.
     """
-    eps = epsilon(params).epsilon if eps_override is None else eps_override
-    corrected = escape_rate_ln(params, eps)
+    corrected = escape_rate_ln(params, epsilon(params).epsilon)
     bare = escape_rate_ln(params, 0.0)
     return corrected.ln_gamma - bare.ln_gamma
 
 
-def sweep_grid(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec,
-               eps_override: Optional[float] = None) -> SweepGrid:
+def sweep_grid(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec) -> SweepGrid:
     """Evaluate ln(Gamma/Gamma0) over a rectangular parameter grid.
 
     Axis semantics: ``alpha`` sets alpha1 = alpha2, ``ej_over_ec`` rescales
@@ -272,19 +269,15 @@ def sweep_grid(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec,
     same array-valued chain as the point functions.  Cells where the
     parameters are invalid (omega_ratio <= 0 included) or the barrier is
     gone are flagged invalid (NaN value) without affecting their neighbors.
-    A finite ``eps_override`` outside [0, 1) makes every cell invalid; a
-    non-finite one raises InvalidParameterError.  A grid too large to
-    allocate raises InvalidAxisError.
+    A grid too large to allocate raises InvalidAxisError.
     """
     if axis1.name == axis2.name:
         raise InvalidAxisError(f"axes must differ, both are {axis1.name!r}")
-    if eps_override is not None and not math.isfinite(eps_override):
-        raise InvalidParameterError(f"epsilon override must be finite, got {eps_override!r}")
     try:
         if axis1.count * axis2.count > np.iinfo(np.intp).max // 8:
             # numpy refuses such an array with a ValueError, not a MemoryError
             raise MemoryError("more bytes than an array can index")
-        values, valid = _sweep_cells(base, axis1, axis2, eps_override)
+        values, valid = _sweep_cells(base, axis1, axis2)
     except MemoryError as exc:
         raise InvalidAxisError(
             f"axis counts {axis1.count} x {axis2.count} need a sweep grid that "
@@ -292,12 +285,12 @@ def sweep_grid(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec,
     return SweepGrid(axis1=axis1, axis2=axis2, values=values, valid=valid, base=base)
 
 
-def _sweep_cells(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec,
-                 eps_override: Optional[float]) -> Tuple[np.ndarray, np.ndarray]:
+def _sweep_cells(base: JunctionParams, axis1: AxisSpec,
+                 axis2: AxisSpec) -> Tuple[np.ndarray, np.ndarray]:
     """The ``values`` and ``valid`` arrays of :func:`sweep_grid`."""
     axes = {axis1.name: axis1.values()[:, None], axis2.name: axis2.values()[None, :]}
-    # a fixed bias is a numpy scalar: past the tilt the fourth root of
-    # (1-eps)^2 - bias^2 is then NaN, where a Python float's would be complex
+    # a fixed bias is a numpy scalar: past the tilt the bare instanton's
+    # fourth root of 1 - bias^2 is then NaN, where a Python float's would be complex
     cell = SimpleNamespace(ej1=base.ej1, ej2=base.ej2, ein=base.ein,
                            alpha1=base.alpha1, alpha2=base.alpha2, kappa=base.kappa,
                            bias=axes.get("bias", np.float64(base.bias)))
@@ -313,7 +306,7 @@ def _sweep_cells(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec,
             # no positive ein solves a ratio <= 0; NaN marks those cells invalid
             cell.ein = np.where(ratio > 0.0, (cell.ej1 + cell.ej2)
                                 / (channel_weights(cell)[0] * ratio * ratio), np.nan)
-        eps = epsilon(cell).epsilon if eps_override is None else eps_override
+        eps = epsilon(cell).epsilon
         omega_p = derive(cell).omega_p
         ln_ratio = (_instanton(omega_p, cell.bias, eps).ln_gamma
                     - _instanton(omega_p, cell.bias, 0.0).ln_gamma)

@@ -25,7 +25,6 @@ __all__ = [
     "DerivedScales",
     "derive",
     "split_phases",
-    "combine_phases",
     "potential",
     "potential_gradient",
     "potential_hessian",
@@ -200,12 +199,6 @@ def split_phases(theta, psi, params: JunctionParams):
     """Map (theta, psi) to the per-channel phases (theta1, theta2)."""
     _, a1, a2, _ = channel_weights(params)
     return theta + a1 * psi, theta - a2 * psi
-
-
-def combine_phases(theta1, theta2, params: JunctionParams):
-    """Map per-channel phases back to (theta, psi); inverse of split_phases."""
-    _, a1, a2, _ = channel_weights(params)
-    return a2 * theta1 + a1 * theta2, theta1 - theta2
 
 
 def potential(theta, psi, params: JunctionParams):

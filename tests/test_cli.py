@@ -482,11 +482,17 @@ def test_escape_reference_point(capsys):
         math.exp(float(report["ln_ratio"])), rel=1e-12)
 
 
-def test_escape_forced_bare(tmp_path, capsys):
-    cfg = write(tmp_path, "bare.cfg", REF_CONFIG + "\n[run]\nepsilon_override = 0\n")
-    assert main(["escape", "--config", cfg]) == 0
-    report = parse_flat(capsys.readouterr().out)
-    assert float(report["ln_ratio"]) == 0.0
+def test_removed_run_keys_refused_by_name(tmp_path, capsys):
+    # eps is always computed from the junction, and --out alone places the
+    # output; neither is a [run] key
+    for command, key, value in (("escape", "epsilon_override", "0"),
+                                ("sweep", "out", "grid"), ("simulate", "out", "run.csv")):
+        cfg = write(tmp_path, "removed.cfg", REF_CONFIG + f"\n[run]\n{key} = {value}\n")
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: unknown key '{key}' in [run]\n"
+        assert captured.out == ""
+    assert os.listdir(tmp_path) == ["removed.cfg"]
 
 
 def test_escape_no_barrier_exit(tmp_path, capsys):
@@ -552,7 +558,7 @@ def test_sweep_json_is_json_dumps_with_indent():
     # nulls, bools, a negative zero, the smallest subnormal and the largest
     # double, and on a head with nested objects
     head = {"axis1": {"name": "bias", "min": 0.9, "max": 1.0, "count": 3},
-            "base_params": {"ej1": 50.0, "kappa": -1}, "epsilon_override": None,
+            "base_params": {"ej1": 50.0, "kappa": -1}, "note": None,
             "quantity": "ln_gamma_ratio"}
     grids = {"ln_ratio": [[None, -0.0, 5e-324], [1.7976931348623157e308, 0.1, None]],
              "valid": [[False, True, True], [True, True, False]]}

@@ -2,15 +2,14 @@
 
 Config files in both [junction] styles are drawn with values that include
 0, negative numbers, NaN, infinities, 1e308 and the smallest subnormal,
-plus an optional epsilon_override, sweep axes of at most 20 points and the
-simulate keys of [run] (initial state, dt, stride).  ``derive``,
-``escape``, ``sweep``, ``simulate`` and ``verify`` must exit 0, 2, 3, 4, 5
-or 6 (``verify`` also 1, a failed check) without an exception escaping
-``main``; a report or table printed or a trajectory CSV written with exit 0
-holds no NaN or infinity, and a sweep written with exit 0 has strict JSON
-and finite axis values.  The program refuses an
-``n_steps`` above ``dynamics.MAX_STEPS``; the strategy still caps it at 200,
-so that the suite stays fast.
+plus sweep axes of at most 20 points and the simulate keys of [run]
+(initial state, dt, stride).  ``derive``, ``escape``, ``sweep``,
+``simulate`` and ``verify`` must exit 0, 2, 3, 4, 5 or 6 (``verify`` also
+1, a failed check) without an exception escaping ``main``; a report or
+table printed or a trajectory CSV written with exit 0 holds no NaN or
+infinity, and a sweep written with exit 0 has strict JSON and finite axis
+values.  The program refuses an ``n_steps`` above ``dynamics.MAX_STEPS``;
+the strategy still caps it at 200, so that the suite stays fast.
 """
 
 import csv
@@ -65,8 +64,7 @@ def config_text(draw):
     junction.update(draw(optional(["alpha1", "alpha2"], values)))
     junction.update(draw(optional(["bias"], biases)))
     junction.update(draw(optional(["kappa"], kappas)))
-    run = draw(optional(["epsilon_override"], values))
-    run.update(draw(optional(["theta0", "psi0"], phases)))
+    run = draw(optional(["theta0", "psi0"], phases))
     run.update(draw(optional(["theta_dot0", "psi_dot0"], velocities)))
     run.update(draw(optional(["dt"], steps)))
     run.update(draw(optional(["stride"], strides)))
@@ -95,9 +93,6 @@ def config_text(draw):
 # an axis span that overflows: NaN axis values with exit 0
 @example(text="[junction]\nej_over_ec = 100\nomega_ratio = 2\n"
               "[run]\naxis1 = bias:-1e308:1e308:5\n")
-# a NaN override: "epsilon_override": NaN in the sweep JSON with exit 0
-@example(text="[junction]\nej_over_ec = 100\nomega_ratio = 2\n"
-              "[run]\nepsilon_override = nan\n")
 # simulate wrote inf or NaN energies and times into the CSV with exit 0
 @example(text="[junction]\nej_over_ec = 100\nomega_ratio = 2\nbias = 0\n"
               "[run]\ntheta_dot0 = 1e200\n")

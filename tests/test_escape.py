@@ -192,7 +192,7 @@ def test_corrected_quantities_continuous_at_vanishing_eps():
     assert tiny.omega_p_i == pytest.approx(bare.omega_p_i, rel=1e-9)
     assert tiny.v0 == pytest.approx(bare.v0, rel=1e-8)
     assert tiny.ln_gamma == pytest.approx(bare.ln_gamma, rel=1e-8)
-    assert enhancement_ratio_ln(REF_POINT, eps_override=1e-10) == pytest.approx(0.0, abs=1e-7)
+    assert tiny.ln_gamma - bare.ln_gamma == pytest.approx(0.0, abs=1e-7)
 
 
 def test_barrier_ratio_decreases_with_eps():
@@ -207,10 +207,6 @@ def test_barrier_ratio_decreases_with_eps():
 
 
 # -------------------------------------------------------------- enhancement
-
-def test_enhancement_zero_for_forced_bare():
-    assert enhancement_ratio_ln(REF_POINT, eps_override=0.0) == 0.0
-
 
 def test_enhancement_reference_point():
     value = enhancement_ratio_ln(REF_POINT)
@@ -257,20 +253,6 @@ def test_axis_spec_validation():
 def test_sweep_rejects_duplicate_axes():
     with pytest.raises(InvalidAxisError):
         sweep_grid(REF_POINT, AxisSpec("bias", 0.9, 0.95, 3), AxisSpec("bias", 0.9, 0.95, 3))
-
-
-@pytest.mark.parametrize("override", [math.nan, math.inf, -math.inf])
-def test_sweep_rejects_non_finite_eps_override(override):
-    with pytest.raises(InvalidParameterError, match="override must be finite"):
-        sweep_grid(REF_POINT, AxisSpec("bias", 0.9, 0.95, 3),
-                   AxisSpec("omega_ratio", 1.0, 2.0, 3), eps_override=override)
-
-
-def test_sweep_forced_bare_is_identically_zero():
-    grid = sweep_grid(REF_POINT, AxisSpec("bias", 0.91, 0.94, 2),
-                      AxisSpec("omega_ratio", 1.0, 2.0, 2), eps_override=0.0)
-    assert grid.valid.all()
-    assert np.all(grid.values == 0.0)
 
 
 def test_sweep_positive_and_row_monotone_in_semiclassical_regime():
@@ -343,17 +325,12 @@ def test_sweep_flags_non_positive_omega_ratio():
 
 
 def test_sweep_past_tilt_at_fixed_bias_and_eps_stays_real():
-    # neither axis moves bias or eps, so (1-eps)^2 - bias^2 < 0 is one number
-    # for the whole grid; its fourth root must not turn the grid complex
-    grid = sweep_grid(REF_POINT, AxisSpec("alpha", 0.05, 0.2, 3),
-                      AxisSpec("ej_over_ec", 50.0, 150.0, 3), eps_override=0.1)
+    # neither axis moves bias, so the bare instanton's 1 - bias^2 < 0 is one
+    # number for the whole grid; its fourth root must not turn the grid complex
+    grid = sweep_grid(REF_POINT.replace(bias=1.2), AxisSpec("alpha", 0.05, 0.2, 3),
+                      AxisSpec("ej_over_ec", 50.0, 150.0, 3))
     assert grid.values.dtype == np.float64
     assert not grid.valid.any() and np.isnan(grid.values).all()
-    below = sweep_grid(REF_POINT, AxisSpec("alpha", 0.05, 0.2, 3),
-                       AxisSpec("ej_over_ec", 50.0, 150.0, 3), eps_override=0.02)
-    assert below.valid.all()
-    assert below.values[1, 1] == enhancement_ratio_ln(
-        REF_POINT.replace(alpha1=0.125, alpha2=0.125), eps_override=0.02)
 
 
 def _reference_cell(base, assignments):
@@ -384,27 +361,23 @@ REFERENCE_AXES = (AxisSpec("bias", -0.1, 0.995, 12), AxisSpec("omega_ratio", -1.
                          ids=lambda a: a.name)
 def test_sweep_matches_per_cell_reference_loop(axis1, axis2):
     base = JunctionParams.from_ratios(100.0, 2.0, 2.0, 0.08, 0.15, 1, 0.93)
-    for eps_override in (None, 0.0, 0.02, -0.1, 1.5):
-        grid = sweep_grid(base, axis1, axis2, eps_override=eps_override)
-        valid = np.zeros_like(grid.valid)
-        for i, v1 in enumerate(axis1.values()):
-            for j, v2 in enumerate(axis2.values()):
-                try:
-                    cell = _reference_cell(base, ((axis1.name, float(v1)),
-                                                  (axis2.name, float(v2))))
-                    expected = enhancement_ratio_ln(cell, eps_override)
-                    bare = escape_rate_ln(cell, 0.0)
-                except (InvalidParameterError, NoBarrierError):
-                    continue
-                valid[i, j] = True
-                tol = 1e-12 * (abs(bare.ln_prefactor) + abs(bare.exponent_b))
-                assert abs(grid.values[i, j] - expected) <= tol, (i, j, eps_override)
-        assert np.array_equal(grid.valid, valid), eps_override
-        assert np.isnan(grid.values[~valid]).all()
-        if eps_override is None:
-            assert valid.any() and not valid.all()
-        if eps_override in (-0.1, 1.5):
-            assert not valid.any()
+    grid = sweep_grid(base, axis1, axis2)
+    valid = np.zeros_like(grid.valid)
+    for i, v1 in enumerate(axis1.values()):
+        for j, v2 in enumerate(axis2.values()):
+            try:
+                cell = _reference_cell(base, ((axis1.name, float(v1)),
+                                              (axis2.name, float(v2))))
+                expected = enhancement_ratio_ln(cell)
+                bare = escape_rate_ln(cell, 0.0)
+            except (InvalidParameterError, NoBarrierError):
+                continue
+            valid[i, j] = True
+            tol = 1e-12 * (abs(bare.ln_prefactor) + abs(bare.exponent_b))
+            assert abs(grid.values[i, j] - expected) <= tol, (i, j)
+    assert np.array_equal(grid.valid, valid)
+    assert np.isnan(grid.values[~valid]).all()
+    assert valid.any() and not valid.all()
 
 
 def test_sweep_deterministic():

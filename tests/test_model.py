@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from heterojj import (InvalidParameterError, JunctionParams, combine_phases,
-                      derive, epsilon, potential, potential_gradient,
-                      potential_hessian, split_phases)
+from heterojj import (InvalidParameterError, JunctionParams, derive, epsilon,
+                      potential, potential_gradient, potential_hessian,
+                      split_phases)
 from helpers import random_params
 
 SYMMETRIC = JunctionParams(ej1=50.0, ej2=50.0, ein=125.0, alpha1=0.1, alpha2=0.1)
@@ -125,30 +125,16 @@ def test_split_phases_examples():
     assert t2 == pytest.approx(-0.5, abs=1e-15)
 
 
-def test_combine_phases_examples():
-    assert combine_phases(0.3, 0.3, SYMMETRIC) == (0.3, 0.0)
-    theta, psi = combine_phases(0.5, -0.5, SYMMETRIC)
-    assert theta == pytest.approx(0.0, abs=1e-15)
-    assert psi == pytest.approx(1.0, rel=1e-15)
-
-
-def test_equal_channel_phases_mean_zero_relative_phase():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        p = random_params(rng)
-        x = float(rng.uniform(-10, 10))
-        theta, psi = combine_phases(x, x, p)
-        assert psi == 0.0
-        assert theta == pytest.approx(x, rel=1e-14, abs=1e-14)
-
-
 def test_split_combine_round_trip_1000_draws():
     rng = np.random.default_rng(123)
     for _ in range(1000):
         p = random_params(rng)
         theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
         psi = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-        back_theta, back_psi = combine_phases(*split_phases(theta, psi, p), p)
+        theta1, theta2 = split_phases(theta, psi, p)
+        # the inverse map: theta = a2 theta1 + a1 theta2, psi = theta1 - theta2
+        a1, a2 = p.alpha1 / (p.alpha1 + p.alpha2), p.alpha2 / (p.alpha1 + p.alpha2)
+        back_theta, back_psi = a2 * theta1 + a1 * theta2, theta1 - theta2
         assert abs(back_theta - theta) < 1e-14 * max(1.0, abs(theta))
         assert abs(back_psi - psi) < 1e-14 * max(1.0, abs(psi))
 
