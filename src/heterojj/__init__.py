@@ -15,7 +15,7 @@ imports only the modules it runs.
 
 __version__ = "0.1.0"
 
-# Each submodule and the public names it defines.
+# Each submodule and the public names it defines: its __all__, read from here.
 _EXPORTS = {
     "model": ("JunctionParams", "DerivedScales", "derive", "split_phases",
               "potential", "potential_gradient", "potential_hessian"),
@@ -23,8 +23,8 @@ _EXPORTS = {
                  "equilibrium", "small_oscillation_frequencies",
                  "reduced_voltage", "detect_switching"),
     "escape": ("FluctuationRenorm", "EscapeResult", "AxisSpec", "SweepGrid",
-               "zero_point_variance", "epsilon", "effective_potential",
-               "escape_rate_ln", "enhancement_ratio_ln", "sweep_grid"),
+               "zero_point_variance", "epsilon", "escape_rate_ln",
+               "enhancement_ratio_ln", "sweep_grid"),
     "oracle": ("SpectrumResult", "BounceResult", "CubicFit", "harmonic_spectrum",
                "bounce_action", "cubic_fit"),
     "errors": ("HeterojjError", "InvalidParameterError", "ConfigError",

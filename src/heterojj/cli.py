@@ -253,7 +253,7 @@ def _escape_report(cfg: RunConfig) -> dict:
     for label, result in (("corrected", corrected), ("bare", bare)):
         report.update((f"{label}_{name}", getattr(result, name))
                       for name in _ESCAPE_FIELDS)
-    ln_ratio = escape.enhancement_ratio_ln(cfg.params)
+    ln_ratio = corrected.ln_gamma - bare.ln_gamma
     report["ln_ratio"] = ln_ratio
     if abs(ln_ratio) < 700.0:
         report["ratio"] = math.exp(ln_ratio)

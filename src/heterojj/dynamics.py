@@ -20,20 +20,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import _kernels, model
+from . import _EXPORTS, _kernels, model
 from .errors import InvalidParameterError, NoEquilibriumError, NonFiniteStateError
 from .model import JunctionParams
 
-__all__ = [
-    "PhaseState",
-    "Trajectory",
-    "acceleration",
-    "integrate",
-    "equilibrium",
-    "small_oscillation_frequencies",
-    "reduced_voltage",
-    "detect_switching",
-]
+__all__ = list(_EXPORTS["dynamics"])
 
 SWITCH_WINDOW = 2.0 * math.pi
 # equilibrium's gradient-norm goal and Newton iteration budget

@@ -36,21 +36,11 @@ from typing import Tuple
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import InvalidAxisError, InvalidParameterError, NoBarrierError
 from .model import JunctionParams, channel_weights, derive, record
 
-__all__ = [
-    "FluctuationRenorm",
-    "EscapeResult",
-    "AxisSpec",
-    "SweepGrid",
-    "zero_point_variance",
-    "epsilon",
-    "effective_potential",
-    "escape_rate_ln",
-    "enhancement_ratio_ln",
-    "sweep_grid",
-]
+__all__ = list(_EXPORTS["escape"])
 
 # Above this value the psi^2 truncation of the interaction is itself suspect.
 EPSILON_STRAIN_THRESHOLD = 0.2
@@ -145,11 +135,7 @@ def zero_point_variance(params: JunctionParams) -> float:
     1/(2 m_rlt omega_JL) for the harmonic Leggett well.  The mean <psi>
     vanishes at T = 0.  Broadcasts like :func:`heterojj.model.derive`.
     """
-    with np.errstate(divide="ignore"):
-        # np.divide, not /: an omega_JL that underflows to 0 gives inf here
-        # instead of a ZeroDivisionError from Python floats
-        var = np.divide(channel_weights(params)[0], derive(params).omega_jl)
-    return var.item() if isinstance(var, np.generic) else var
+    return epsilon(params).psi_variance
 
 
 def epsilon(params: JunctionParams) -> FluctuationRenorm:
@@ -159,31 +145,17 @@ def epsilon(params: JunctionParams) -> FluctuationRenorm:
     fields, a :class:`JunctionParams` gives Python floats and bools.
     """
     scales = derive(params)
-    var = zero_point_variance(params)
-    eps = scales.g_plus * var
+    s = channel_weights(params)[0]
     with np.errstate(all="ignore"):
-        eps_ratio = (scales.g_plus / math.sqrt(2.0)) * channel_weights(params)[0] \
+        # np.divide, not /: an omega_JL that underflows to 0 gives inf here
+        # instead of a ZeroDivisionError from Python floats
+        var = np.divide(s, scales.omega_jl)
+        eps = scales.g_plus * var
+        eps_ratio = (scales.g_plus / math.sqrt(2.0)) * s \
             * np.divide(scales.omega_p, scales.omega_jl) * np.sqrt(1.0 / scales.ej_sum)
     return record(FluctuationRenorm, psi_variance=var, epsilon=eps,
                   epsilon_from_ratio=eps_ratio, valid=eps < 1.0,
                   strained=eps > EPSILON_STRAIN_THRESHOLD)
-
-
-def _check_eps(eps: float) -> None:
-    if not (0.0 <= eps < 1.0):
-        raise InvalidParameterError(
-            f"eps must satisfy 0 <= eps < 1 (barrier wiped out otherwise), got {eps!r}")
-
-
-def effective_potential(theta, params: JunctionParams, eps: float):
-    """Renormalized tilted washboard V_eff(theta) for the center-of-mass phase.
-
-    With eps = 0 this is the bare one-dimensional washboard
-    -E_J (cos(theta) + bias*theta) with E_J = ej1 + ej2.  Accepts scalar or
-    array theta.
-    """
-    _check_eps(eps)
-    return -derive(params).ej_sum * ((1.0 - eps) * np.cos(theta) + params.bias * theta)
 
 
 def _instanton(omega_p, bias, eps) -> EscapeResult:
@@ -226,11 +198,13 @@ def escape_rate_ln(params: JunctionParams, eps: float) -> EscapeResult:
     scales as u^(7/8) and ``exponent_b`` as u^(5/4); the formula holds for
     exponent_b >> 1 and is returned as computed outside that domain.
 
-    Raises NoBarrierError when bias >= 1 - eps (classical running state).
-    The chain requires bias > 0: the cubic expansion degenerates in the
+    Raises NoBarrierError when bias >= 1 - eps (classical running state),
+    an eps >= 1 that wipes the barrier out included.  The chain requires
+    eps >= 0, and bias > 0: the cubic expansion degenerates in the
     untilted well.
     """
-    _check_eps(eps)
+    if not eps >= 0.0:  # a NaN fails this too
+        raise InvalidParameterError(f"eps must satisfy eps >= 0, got {eps!r}")
     if params.bias <= 0.0:
         raise InvalidParameterError(
             "the cubic-barrier chain requires bias > 0 (the untilted well has no "
@@ -310,7 +284,7 @@ def _sweep_cells(base: JunctionParams, axis1: AxisSpec,
         omega_p = derive(cell).omega_p
         ln_ratio = (_instanton(omega_p, cell.bias, eps).ln_gamma
                     - _instanton(omega_p, cell.bias, 0.0).ln_gamma)
-        valid = ((0.0 <= eps) & (eps < 1.0) & (0.0 < cell.bias) & (cell.bias < 1.0 - eps)
+        valid = ((0.0 <= eps) & (0.0 < cell.bias) & (cell.bias < 1.0 - eps)
                  & np.isfinite(ln_ratio))
         for v in (cell.ej1, cell.ej2, cell.ein, cell.alpha1, cell.alpha2):
             valid = valid & np.isfinite(v) & (v > 0.0)

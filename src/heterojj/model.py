@@ -18,17 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import InvalidParameterError
 
-__all__ = [
-    "JunctionParams",
-    "DerivedScales",
-    "derive",
-    "split_phases",
-    "potential",
-    "potential_gradient",
-    "potential_hessian",
-]
+__all__ = list(_EXPORTS["model"])
 
 
 def _is_real(v) -> bool:

@@ -17,18 +17,11 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from . import escape
+from . import _EXPORTS, escape
 from .errors import ConvergenceError, InvalidParameterError, NoBarrierError
 from .model import JunctionParams, derive
 
-__all__ = [
-    "SpectrumResult",
-    "BounceResult",
-    "CubicFit",
-    "harmonic_spectrum",
-    "bounce_action",
-    "cubic_fit",
-]
+__all__ = list(_EXPORTS["oracle"])
 
 # The DVR grid: points, levels returned, and the box half-width in
 # ground-state sigmas, which keeps the wavefunction tails below 1e-12

@@ -16,6 +16,8 @@ import pytest
 
 from heterojj import cli, escape, oracle
 from heterojj.cli import main
+from heterojj.config import default_params
+from helpers import random_params
 
 REF_CONFIG = """
 [junction]
@@ -498,6 +500,55 @@ def test_removed_run_keys_refused_by_name(tmp_path, capsys):
 def test_escape_no_barrier_exit(tmp_path, capsys):
     cfg = write(tmp_path, "over.cfg", REF_CONFIG.replace("bias = 0.95", "bias = 1.5"))
     assert main(["escape", "--config", cfg]) == 5
+
+
+def test_wiped_barrier_exits_no_barrier(tmp_path, capsys):
+    # eps = 1.25: the zero-point shift leaves no barrier at any bias
+    cfg = write(tmp_path, "wiped.cfg",
+                "[junction]\nej1 = 50\nej2 = 50\nein = 0.001\nbias = 0.5\n")
+    assert main(["escape", "--config", cfg]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no barrier: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_escape_ln_ratio_is_the_librarys_bit_for_bit(tmp_path, capsys):
+    assert main(["escape", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ln_ratio"] == \
+        escape.enhancement_ratio_ln(default_params())
+    rng = np.random.default_rng(1717)
+    checked = 0
+    while checked < 12:
+        p = random_params(rng, bias_range=(0.05, 0.99), kappa_choices=(1, -1))
+        if not p.bias < 1.0 - escape.epsilon(p).epsilon:
+            continue
+        cfg = write(tmp_path, "draw.cfg", "[junction]\n" + "".join(
+            f"{key} = {value!r}\n" for key, value in dataclasses.asdict(p).items()))
+        assert main(["escape", "--json", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["ln_ratio"] == \
+            escape.enhancement_ratio_ln(p), p
+        checked += 1
+
+
+def test_escape_evaluates_its_chain_once(monkeypatch, capsys):
+    calls = {"epsilon": 0, "_instanton": 0, "derive": 0}
+
+    def counted(name):
+        fn = getattr(escape, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(escape, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    assert main(["escape"]) == 0
+    assert (calls["epsilon"], calls["_instanton"]) == (1, 2)
+    calls["derive"] = 0
+    escape.epsilon(default_params())
+    assert calls["derive"] == 1
 
 
 # E_J/E_C = 1e308 passes every parameter check, but omega_P = sqrt(2 E_J)

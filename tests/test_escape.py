@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from heterojj import (AxisSpec, InvalidAxisError, InvalidParameterError,
-                      JunctionParams, NoBarrierError, derive, effective_potential,
-                      enhancement_ratio_ln, epsilon, escape_rate_ln, sweep_grid,
-                      zero_point_variance)
+                      JunctionParams, NoBarrierError, derive, enhancement_ratio_ln,
+                      epsilon, escape_rate_ln, sweep_grid, zero_point_variance)
 from helpers import random_params
 
 REF_POINT = JunctionParams.from_ratios(100.0, 2.0, 1.0, 0.1, 0.1, 1, 0.95)
@@ -73,41 +72,13 @@ def test_epsilon_flags():
     assert not fluct.valid
 
 
-# ------------------------------------------------------- effective potential
-
-def test_effective_potential_values():
-    p = REF_POINT.replace(bias=0.0)
-    assert effective_potential(0.0, p, 0.0) == pytest.approx(-100.0, rel=1e-15)
-    assert effective_potential(math.pi, p, 0.1) == pytest.approx(90.0, rel=1e-12)
-
-
-def test_effective_potential_matches_bare_washboard():
-    p = REF_POINT.replace(bias=0.4)
-    theta = np.linspace(-1.0, 7.0, 200)
-    bare = -100.0 * (np.cos(theta) + 0.4 * theta)
-    assert np.allclose(effective_potential(theta, p, 0.0), bare, rtol=1e-14)
-
-
-def test_effective_potential_domain():
-    with pytest.raises(InvalidParameterError):
-        effective_potential(0.0, REF_POINT, 1.0)
-    with pytest.raises(InvalidParameterError):
-        effective_potential(0.0, REF_POINT, -0.01)
-
+# -------------------------------------------------------------- barrier chain
 
 def test_barrier_shrinks_monotonically_with_eps():
     p = REF_POINT.replace(bias=0.5)
-    heights = []
-    for eps in np.linspace(0.0, 0.3, 7):
-        theta = np.linspace(0.0, 2.0 * math.pi, 4000)
-        profile = effective_potential(theta, p, float(eps))
-        well = np.min(profile[theta < math.pi])
-        top = np.max(profile)
-        heights.append(top - well)
+    heights = [escape_rate_ln(p, float(eps)).v0 for eps in np.linspace(0.0, 0.3, 7)]
     assert all(a > b for a, b in zip(heights, heights[1:]))
 
-
-# -------------------------------------------------------------- barrier chain
 
 def test_barrier_chain_frozen_values():
     p = REF_POINT
@@ -139,13 +110,17 @@ def test_no_barrier_error_at_and_above_boundary():
         escape_rate_ln(REF_POINT.replace(bias=0.95), 0.05)
     with pytest.raises(NoBarrierError):
         escape_rate_ln(REF_POINT.replace(bias=1.2), 0.0)
+    # an eps >= 1 wipes the barrier out at any positive bias
+    with pytest.raises(NoBarrierError):
+        escape_rate_ln(REF_POINT, 1.1)
 
 
 def test_barrier_requires_positive_bias_and_valid_eps():
     with pytest.raises(InvalidParameterError):
         escape_rate_ln(REF_POINT.replace(bias=0.0), 0.0)
-    with pytest.raises(InvalidParameterError):
-        escape_rate_ln(REF_POINT, 1.1)
+    for eps in (-0.01, math.nan):
+        with pytest.raises(InvalidParameterError, match="eps >= 0"):
+            escape_rate_ln(REF_POINT, eps)
 
 
 # ----------------------------------------------------------------- ln(Gamma)

@@ -1,5 +1,6 @@
 """The package's public names: one table, resolved on first access."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import heterojj
 
 
 def test_every_public_name_is_its_defining_modules_object():
-    assert len(heterojj.__all__) == len(set(heterojj.__all__)) == 40
+    assert len(heterojj.__all__) == len(set(heterojj.__all__)) == 39
     assert heterojj.JunctionParams is heterojj.model.JunctionParams
     for name in set(heterojj.__all__) - {"__version__"}:
         value = getattr(heterojj, name)
@@ -20,10 +21,16 @@ def test_every_public_name_is_its_defining_modules_object():
         assert getattr(sys.modules[value.__module__], name) is value, name
 
 
-def test_star_import_binds_exactly_all():
+@pytest.mark.parametrize("module", ["heterojj", "heterojj.model", "heterojj.dynamics",
+                                    "heterojj.escape", "heterojj.oracle"])
+def test_star_import_binds_exactly_all(module):
+    # a submodule's __all__ is its row of the package's one name table
+    expected = (heterojj.__all__ if module == "heterojj"
+                else heterojj._EXPORTS[module.rpartition(".")[2]])
     namespace = {}
-    exec("from heterojj import *", namespace)
-    assert set(namespace) - {"__builtins__"} == set(heterojj.__all__)
+    exec(f"from {module} import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(expected)
+    assert importlib.import_module(module).__all__ == list(expected)
 
 
 def test_unknown_attribute_raises():
