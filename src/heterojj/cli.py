@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 verification failure, 2 config/usage parse error,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -82,6 +83,21 @@ def _print_flat(report: dict, stream) -> None:
         stream.write(f"{key}={value:{spec}}\n")
 
 
+def _stdout():
+    """sys.stdout, or the OSError a write to a closed stdout raises: a
+    process started with stdout closed has ``sys.stdout = None``."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
+def _out(args, what: str) -> Optional[str]:
+    """The --out value, None without one; an empty one names no file."""
+    if args.out == "":
+        raise ConfigError(f"empty --out {what} ''")
+    return args.out
+
+
 def _refuse(key: str, value: float, what: str) -> int:
     """Name a non-finite output field on stderr in place of the output."""
     sys.stderr.write(f"error: {key} is not finite ({value!r}); no {what} written\n")
@@ -99,9 +115,9 @@ def _write_report(report: dict, as_json: bool) -> int:
         if isinstance(value, float) and not math.isfinite(value):
             return _refuse(key, value, "report")
     if as_json:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        _stdout().write(json.dumps(report, indent=2) + "\n")
     else:
-        _print_flat(report, sys.stdout)
+        _print_flat(report, _stdout())
     return EXIT_OK
 
 
@@ -229,6 +245,7 @@ def cmd_simulate(args) -> int:
     """Write the trajectory CSV, or refuse one holding a non-finite number:
     the first such column or footer value is named on stderr and the exit
     code is EXIT_NUMERIC, as for a point report."""
+    out = _out(args, "path")
     cfg = _load(args)
     stride = args.stride if args.stride is not None else cfg.stride
     columns, footer = _simulate(cfg, stride)
@@ -238,10 +255,10 @@ def cmd_simulate(args) -> int:
             return _refuse(name, float(np.extract(~finite, values)[0]), "CSV")
     # closing stops a helper process at once if a write fails
     with closing(_csv(columns, *(f"# {name}={value:.17g}" for name, value in footer.items()))) as pieces:
-        if args.out:
-            _write_text(args.out, pieces)
+        if out is None:
+            _stdout().writelines(pieces)
         else:
-            sys.stdout.writelines(pieces)
+            _write_text(out, pieces)
     return EXIT_OK
 
 
@@ -289,9 +306,11 @@ def _axis_labels(axis: escape.AxisSpec) -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
+    stem = _out(args, "stem")
+    if stem is None:
+        stem = "sweep"
     cfg = _load(args)
     grid = escape.sweep_grid(cfg.params, cfg.axis1, cfg.axis2)
-    stem = args.out or "sweep"
     csv_path = stem + ".csv"
     json_path = stem + ".json"
     with closing(_csv({
@@ -314,14 +333,14 @@ def cmd_sweep(args) -> int:
     _write_text(json_path, [_sweep_json(head, grids), "\n"])
     if not grid.valid.any():
         sys.stderr.write("warning: no valid cells in the requested grid\n")
-    sys.stdout.write(f"wrote {csv_path} and {json_path}\n")
+    _stdout().write(f"wrote {csv_path} and {json_path}\n")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     from . import verify  # only verify loads the oracles
     results = verify.run_checks(_load(args).params)
-    sys.stdout.write(verify.format_table(results) + "\n")
+    _stdout().write(verify.format_table(results) + "\n")
     if all(r.passed for r in results):
         return EXIT_OK
     return EXIT_VERIFY_FAILED
@@ -372,13 +391,16 @@ def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return code
     except OSError as exc:
         # Files the commands open turn an OSError into a ConfigError, so this
-        # one is stdout's (a closed pipe, a full device).  The interpreter
-        # flushes stdout again at exit: send that flush to nowhere.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # one is stdout's (a closed pipe, a full device, a closed stdout).
+        # An interpreter that exits normally after main flushes stdout
+        # again: send that flush to nowhere.
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.stderr.write(f"error: cannot write to stdout: {exc}\n")
         return EXIT_CONFIG
     except tuple(_EXIT_CODES) as exc:
@@ -386,5 +408,23 @@ def main(argv: Optional[list] = None) -> int:
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
+def run() -> None:
+    """The process entry of ``heterojj`` and ``python -m heterojj``: run
+    ``main()`` on ``sys.argv``, flush stdout and stderr, and end the process
+    with ``os._exit``, skipping the interpreter's teardown (about 30 ms once
+    numpy is loaded, with nothing left to write).  ``atexit`` handlers do not
+    run.  A usage error, ``--help``, ``--version`` and an uncaught exception
+    leave through the normal exit instead, as they raise out of ``main``.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except (OSError, ValueError):  # keep the exit code main chose
+                pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

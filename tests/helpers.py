@@ -4,6 +4,9 @@ import contextlib
 import io
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -46,7 +49,9 @@ def random_params(rng, bias_range=(0.0, 0.0), kappa_choices=(1,)):
 
 def run_cli(argv, workdir):
     """Exit code, stdout and stderr of ``heterojj.cli.main(argv)`` run with
-    ``workdir`` as the working directory."""
+    ``workdir`` as the working directory.  The code of a SystemExit that
+    argparse raises (a usage error, ``--help``, ``--version``) is the exit
+    code."""
     from heterojj.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -54,7 +59,47 @@ def run_cli(argv, workdir):
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
     finally:
         os.chdir(cwd)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_in_process(argv, workdir):
+    """run_cli with stdout and stderr as bytes, as run_process gives them."""
+    code, out, err = run_cli(argv, workdir)
+    return code, out.encode(), err.encode()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def process_env():
+    """The environment of a heterojj process under test: this package on the
+    path, and stdout and stderr buffered as by default, so that a missing
+    flush loses text."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_process(argv, workdir):
+    """Exit code, stdout and stderr (bytes) of ``python -m heterojj *argv``
+    run in a new session with ``workdir`` as the working directory, after
+    checking that the command left no process of its session running."""
+    with subprocess.Popen([sys.executable, "-m", "heterojj", *argv], cwd=workdir, env=process_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          start_new_session=True) as proc:
+        out, err = proc.communicate(timeout=120)
+    # the session's process group has the command's pid as its id; a helper
+    # the command forked and left behind would still be in it
+    try:
+        os.killpg(proc.pid, 0)
+    except ProcessLookupError:
+        pass
+    else:
+        raise AssertionError(f"heterojj {argv} left a process running")
+    return proc.returncode, out, err

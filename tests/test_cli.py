@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import gc
 import io
 import json
 import math
@@ -17,7 +18,7 @@ import pytest
 from heterojj import cli, escape, oracle
 from heterojj.cli import main
 from heterojj.config import default_params
-from helpers import random_params
+from helpers import process_env, random_params
 
 REF_CONFIG = """
 [junction]
@@ -148,6 +149,15 @@ def test_non_utf8_config_exits_config(tmp_path, capsys, command):
     assert captured.out == ""
     assert captured.err.startswith(f"error: malformed config file {str(path)!r}: ")
     assert "can't decode byte 0xe9" in captured.err
+
+
+@pytest.mark.parametrize("command,what", [("simulate", "path"), ("sweep", "stem")])
+def test_empty_out_exits_config(tmp_path, capsys, monkeypatch, command, what):
+    # an empty path names no file: neither stdout nor a stem-less ".csv"
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--out", ""]) == 2
+    assert capsys.readouterr() == ("", f"error: empty --out {what} ''\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unwritable_output_path(tmp_path, capsys):
@@ -292,6 +302,26 @@ def test_closed_stdout_pipe_exits_config(tmp_path):
         finally:
             os.close(write_end)
         assert_stdout_refused(code, err)
+
+
+# `heterojj COMMAND >&-`: the process starts with sys.stdout = None.  A
+# command that writes to stdout is refused as for a closed pipe; one that
+# does not runs as usual.
+@pytest.mark.parametrize("argv,code", [
+    (["derive"], 2), (["escape"], 2), (["simulate"], 2), (["sweep"], 2), (["verify"], 2),
+    (["simulate", "--out", "run.csv"], 0),
+], ids=["derive", "escape", "simulate", "sweep", "verify", "simulate-out"])
+def test_closed_stdout_exits_config(tmp_path, argv, code):
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "heterojj",
+                           *argv], cwd=tmp_path, stderr=subprocess.PIPE, text=True, timeout=60,
+                          env=process_env())
+    if code:
+        assert proc.stderr == f"error: cannot write to stdout: [Errno {errno.EBADF}] " \
+                              f"{os.strerror(errno.EBADF)}\n"
+    else:
+        assert proc.stderr == ""
+        assert (tmp_path / "run.csv").stat().st_size > 0
+    assert proc.returncode == code
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
@@ -471,6 +501,28 @@ def test_simulate_text_memory_stays_below_the_csv_size(tmp_path, monkeypatch, to
     assert_no_child_left()
     size = out.stat().st_size
     assert peak < size, f"traced peak {peak} B for a CSV of {size} B"
+
+
+# The process entry ends with os._exit, which flushes and closes no file
+# object, so a command must close every file it opens before it returns.
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("argv", [
+    ["derive"], ["escape", "--json"], ["sweep", "--out", "grid"], ["verify"],
+    ["simulate", "--config", "long.cfg", "--stride", "1"],
+    ["simulate", "--config", "long.cfg", "--stride", "1", "--out", "run.csv"],
+], ids=["derive", "escape", "sweep", "verify", "simulate-split", "simulate-split-out"])
+def test_every_command_closes_its_files(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_second_cpu", lambda: hasattr(os, "fork"))
+    write(tmp_path, "long.cfg", SIM_CONFIG.replace(
+        "n_steps = 2000", f"n_steps = {2 * cli.CSV_SPLIT_ROWS + 1}"))
+    before = sorted(os.listdir("/dev/fd"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(argv) == 0
+        gc.collect()  # a file object dropped unclosed warns when collected
+    assert sorted(os.listdir("/dev/fd")) == before
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 # -------------------------------------------------------------------- escape

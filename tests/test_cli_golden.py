@@ -1,7 +1,9 @@
 """Byte-for-byte comparison of CLI output with committed golden files.
 
 Each case runs ``main(argv)`` in an empty working directory and collects
-its exit code, stdout, stderr and every file it writes.  The golden files
+its exit code, stdout, stderr and every file it writes.  A subset of the
+cases also runs as ``python -m heterojj``, which ends through
+``heterojj.cli.run``.  The golden files
 under ``tests/data/golden/`` are named ``<case>.<stream>`` (``stdout``,
 ``stderr`` or the name of the written file); empty streams have none.
 
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import run_cli
+from helpers import run_in_process, run_process
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -46,11 +48,20 @@ CASES = [
 ]
 
 
-def run_case(argv, workdir):
-    """Exit code and {stream: bytes} of ``main(argv)`` run inside ``workdir``."""
+# The cases also run through the process entry: at least one of each
+# command, each stream and each written file
+PROCESS_CASES = [c for c in CASES if c[0] in {
+    "derive-default", "derive-asym-json", "derive-overflow", "escape-default",
+    "escape-critical", "simulate-ref-stride1", "simulate-asym-stride7", "simulate-tilt",
+    "simulate-overflow", "sweep-ref"}]
+
+
+def run_case(argv, workdir, run=run_in_process):
+    """Exit code and {stream: bytes} of ``main(argv)``, or of another
+    ``run`` of the argv, run inside ``workdir``."""
     argv = [str(GOLDEN / a[1:]) if a.startswith("@") else a for a in argv]
-    code, out, err = run_cli(argv, workdir)
-    streams = {"stdout": out.encode(), "stderr": err.encode()}
+    code, out, err = run(argv, workdir)
+    streams = {"stdout": out, "stderr": err}
     streams.update((p.name, p.read_bytes()) for p in Path(workdir).iterdir())
     return code, {name: data for name, data in streams.items() if data}
 
@@ -62,7 +73,15 @@ def golden_streams(case):
 
 @pytest.mark.parametrize("case,argv,code", CASES, ids=[c[0] for c in CASES])
 def test_output_matches_golden(tmp_path, case, argv, code):
-    got_code, streams = run_case(argv, tmp_path)
+    assert_matches_golden(case, code, *run_case(argv, tmp_path))
+
+
+@pytest.mark.parametrize("case,argv,code", PROCESS_CASES, ids=[c[0] for c in PROCESS_CASES])
+def test_process_output_matches_golden(tmp_path, case, argv, code):
+    assert_matches_golden(case, code, *run_case(argv, tmp_path, run_process))
+
+
+def assert_matches_golden(case, code, got_code, streams):
     assert got_code == code
     expected = golden_streams(case)
     assert sorted(streams) == sorted(expected)
