@@ -1,7 +1,9 @@
-"""Time-stepping kernel of the coupled phase equations.
+"""Time-stepping kernel of the coupled phase equations, and its set-up.
 
 The fixed-step integrator is the only hot inner loop in the package.  It is
-plain Python over scalars; it uses no numpy.
+plain Python over scalars, and this module imports no numpy: so a cold
+``simulate`` can check and set up its run (:func:`rk4_setup`) and run the
+kernel in a forked helper while it imports numpy.
 
 Without a compiler the cost of the loop is interpreter overhead, so the four
 RK4 stages are written out in one flat loop instead of calling an
@@ -14,7 +16,62 @@ output bit for bit.
 """
 
 import math
+import mmap
 from itertools import chain
+
+from .errors import InvalidParameterError
+from .inputs import channel_weights, lambda_cap
+
+# The most steps one run takes: about 40 min of the kernel at ~2.2 us a
+# step, and far beyond any run the commands need
+MAX_STEPS = 10**9
+
+
+def check_state(state) -> None:
+    """Refuse a non-finite (theta, psi, theta_dot, psi_dot, tau), naming
+    the field as :class:`heterojj.dynamics.PhaseState` does."""
+    for name, value in zip(("theta", "psi", "theta_dot", "psi_dot", "tau"), state):
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"PhaseState.{name} must be finite")
+
+
+def rk4_setup(state, dt, n_steps, stride, params) -> tuple:
+    """The arguments of :func:`rk4_step_loop` for a run from ``state``, as
+    :func:`check_state` takes it; ``out`` is last, a new anonymous shared
+    mapping that a forked process can fill.  Raises InvalidParameterError,
+    in this order, for a non-finite state, a dt that is not finite and
+    positive, an ``n_steps`` or ``stride`` below 1, a ``dt * stride`` that
+    is not a finite float, a buffer that cannot be allocated and an
+    ``n_steps`` above MAX_STEPS."""
+    check_state(state)
+    if not (dt > 0 and math.isfinite(dt)):
+        raise InvalidParameterError(f"dt must be finite and positive, got {dt!r}")
+    if n_steps < 1:
+        raise InvalidParameterError(f"n_steps must be >= 1, got {n_steps!r}")
+    if stride < 1:
+        raise InvalidParameterError(f"stride must be >= 1, got {stride!r}")
+    try:
+        row_dt = dt * stride
+    except OverflowError:  # an int beyond the float range
+        row_dt = math.inf
+    if not math.isfinite(row_dt):
+        raise InvalidParameterError(
+            "stride is too large: the time between stored rows, dt * stride, "
+            "does not fit in a float")
+    s, a1, a2, ej_tilt = channel_weights(params)
+    try:
+        out = mmap.mmap(-1, 32 * (n_steps // stride + 1))
+    except (OSError, OverflowError) as exc:
+        raise InvalidParameterError(
+            f"n_steps={n_steps!r} at stride={stride!r} needs a trajectory buffer "
+            f"that cannot be allocated ({exc})") from exc
+    # checked after the buffer: a run whose rows cannot be stored is refused for that
+    if n_steps > MAX_STEPS:
+        raise InvalidParameterError(
+            f"n_steps must be <= MAX_STEPS = {MAX_STEPS}, got {n_steps!r}")
+    return (*state[:4], dt, n_steps, stride, lambda_cap(params), 2.0 * params.ej1,
+            2.0 * params.ej2, 2.0 * ej_tilt * params.bias, params.kappa * 2.0 * s * params.ein,
+            a1, a2, 2.0 * params.alpha1 * params.ej1, 2.0 * params.alpha2 * params.ej2, out)
 
 
 def rk4_step_loop(theta, psi, theta_dot, psi_dot, dt, n_steps, stride,
@@ -33,9 +90,9 @@ def rk4_step_loop(theta, psi, theta_dot, psi_dot, dt, n_steps, stride,
 
     with theta1 = theta + a1 psi and theta2 = theta - a2 psi.
 
-    Fills ``out`` (C-contiguous float64, ``n_steps // stride + 1`` rows of
-    [theta, psi, theta_dot, psi_dot] every ``stride`` steps, starting with
-    the initial state) and returns -1, or the index of the first step that
+    Fills ``out`` (a C-contiguous float64 buffer, ``n_steps // stride + 1``
+    rows of [theta, psi, theta_dot, psi_dot] every ``stride`` steps, starting
+    with the initial state) and returns -1, or the index of the first step that
     produced a non-finite state or met an infinite phase inside a stage.
     The steps after the last stored row still run and are still checked.
     """

@@ -7,6 +7,9 @@ so doubles round-trip exactly.
 Exit codes: 0 ok, 1 verification failure, 2 config/usage parse error,
 3 parameter invariant violation, 4 numeric (non-finite) failure,
 5 no barrier / no equilibrium, 6 invalid sweep axis.
+
+Importing this module loads no numpy: each command imports what it runs
+once its input has been read and checked.
 """
 
 from __future__ import annotations
@@ -21,13 +24,11 @@ from contextlib import closing
 from dataclasses import asdict
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
-from . import __version__, escape
+from . import __version__
 from .config import RunConfig, default_config, load_config
 from .errors import (ConfigError, InvalidAxisError, InvalidParameterError,
                      NoBarrierError, NoEquilibriumError, NonFiniteStateError)
-from .model import derive
+from .inputs import AxisSpec
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -63,6 +64,25 @@ _ESCAPE_FIELDS = ("theta0", "omega_p_i", "v0", "exponent_b", "ln_prefactor",
                   "ln_gamma")
 
 
+def __getattr__(name):
+    # heterojj.cli.derive is model.derive, looked up on use: model imports numpy
+    if name == "derive":
+        from .model import derive
+        return derive
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _stderr(line: str) -> None:
+    """Write an ``error:`` or ``warning:`` line to stderr, if it can be
+    written: a process started with stderr closed has ``sys.stderr = None``,
+    and a pipe may have lost its reader.  The exit code still tells."""
+    try:
+        if sys.stderr is not None:
+            sys.stderr.write(line + "\n")
+    except OSError:
+        pass
+
+
 def _load(args) -> RunConfig:
     if args.config is None:
         return default_config()
@@ -70,8 +90,9 @@ def _load(args) -> RunConfig:
 
 
 def _derive_report(cfg: RunConfig) -> dict:
+    from . import escape, model
     fluct = escape.epsilon(cfg.params)
-    return {**asdict(cfg.params), **asdict(derive(cfg.params)),
+    return {**asdict(cfg.params), **asdict(model.derive(cfg.params)),
             "psi_variance": fluct.psi_variance, "epsilon": fluct.epsilon,
             "epsilon_from_ratio": fluct.epsilon_from_ratio,
             "epsilon_valid": fluct.valid, "epsilon_strained": fluct.strained}
@@ -100,7 +121,7 @@ def _out(args, what: str) -> Optional[str]:
 
 def _refuse(key: str, value: float, what: str) -> int:
     """Name a non-finite output field on stderr in place of the output."""
-    sys.stderr.write(f"error: {key} is not finite ({value!r}); no {what} written\n")
+    _stderr(f"error: {key} is not finite ({value!r}); no {what} written")
     return EXIT_NUMERIC
 
 
@@ -144,6 +165,29 @@ def _second_cpu() -> bool:
     return (os.cpu_count() or 1) > 1
 
 
+def _fork(work) -> Optional[int]:
+    """The pid of a forked helper that runs ``work()`` and exits 0, or 1 if
+    it raised, through os._exit: it never returns into the parent's code,
+    flushes the parent's buffers or prints.  None if it cannot start."""
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            work()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _reap(pid: int) -> int:
+    """Wait for the helper process ``pid`` to end; its exit code."""
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
 def _csv_split_rows(columns: dict, n: int) -> Iterator[str]:
     """Rows ``[0, n)`` as _csv_rows gives them, the second half formatted
     at the same time by a forked helper into a temporary file and read back
@@ -158,24 +202,16 @@ def _csv_split_rows(columns: dict, n: int) -> Iterator[str]:
         yield from _csv_rows(columns, 0, n)
         return
     with tmp:
-        try:
-            pid = os.fork()
-        except OSError:
+        def format_second_half():
+            tmp.writelines(_csv_rows(columns, half, n))
+            tmp.flush()
+        pid = _fork(format_second_half)
+        if pid is None:
             yield from _csv_rows(columns, 0, n)
             return
-        if pid == 0:
-            # The helper leaves only through os._exit: it never returns into
-            # the parent's code, flushes the parent's buffers or prints.
-            code = 1
-            try:
-                tmp.writelines(_csv_rows(columns, half, n))
-                tmp.flush()
-                code = 0
-            finally:
-                os._exit(code)
         try:
             yield from _csv_rows(columns, 0, half)
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            code = _reap(pid)
             pid = 0
             if code != 0:
                 raise ConfigError("the process formatting the second half of the CSV rows "
@@ -214,13 +250,36 @@ def cmd_derive(args) -> int:
     return _write_report(_derive_report(_load(args)), args.json)
 
 
+def _trajectory(cfg: RunConfig, stride: int):
+    """The run's dynamics.Trajectory.  The run is checked and set up without
+    numpy; where numpy is not loaded yet and a second CPU is at hand, a
+    forked helper runs the kernel while this process imports numpy.  With
+    no helper, or one that failed, this process integrates the run itself."""
+    import mmap
+    from . import _kernels
+    state = (cfg.theta0, cfg.psi0, cfg.theta_dot0, cfg.psi_dot0, 0.0)
+    args = _kernels.rk4_setup(state, cfg.dt, cfg.n_steps, stride, cfg.params)
+    slot = memoryview(mmap.mmap(-1, 8)).cast("q")  # the helper's return value
+
+    def integrate():  # into the shared buffer args[-1]
+        slot[0] = _kernels.rk4_step_loop(*args)
+    pid = _fork(integrate) if "numpy" not in sys.modules and _second_cpu() else None
+    try:
+        from . import dynamics  # numpy loads here, beside the helper
+    finally:
+        done = pid is not None and _reap(pid) == 0
+    if done:
+        return dynamics._trajectory(state[4], cfg.dt, stride, cfg.params, args[-1], slot[0])
+    # as a library caller does; it sets the run up again, in microseconds
+    return dynamics.integrate(dynamics.PhaseState(*state), cfg.dt, cfg.n_steps, cfg.params,
+                              stride=stride)
+
+
 def _simulate(cfg: RunConfig, stride: int):
     """The trajectory's CSV columns and its footer values, by name."""
-    from . import dynamics  # only simulate loads the integrator
-    initial = dynamics.PhaseState(cfg.theta0, cfg.psi0,
-                                  cfg.theta_dot0, cfg.psi_dot0)
-    traj = dynamics.integrate(initial, cfg.dt, cfg.n_steps, cfg.params,
-                              stride=stride)
+    traj = _trajectory(cfg, stride)
+    import numpy as np  # both loaded by _trajectory, after the run's checks
+    from . import dynamics
     columns = {name: getattr(traj, name) for name in
                ("tau", "theta", "psi", "theta_dot", "psi_dot", "energy")}
     columns["reduced_voltage"] = dynamics.reduced_voltage(traj, cfg.params)
@@ -249,6 +308,7 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     stride = args.stride if args.stride is not None else cfg.stride
     columns, footer = _simulate(cfg, stride)
+    import numpy as np  # loaded by _simulate
     for name, values in {**columns, **footer}.items():
         finite = np.isfinite(values)
         if not finite.all():
@@ -263,6 +323,7 @@ def cmd_simulate(args) -> int:
 
 
 def _escape_report(cfg: RunConfig) -> dict:
+    from . import escape
     fluct = escape.epsilon(cfg.params)
     corrected = escape.escape_rate_ln(cfg.params, fluct.epsilon)
     bare = escape.escape_rate_ln(cfg.params, 0.0)
@@ -281,7 +342,7 @@ def cmd_escape(args) -> int:
     return _write_report(_escape_report(_load(args)), args.json)
 
 
-def _axis_json(axis: escape.AxisSpec) -> dict:
+def _axis_json(axis: AxisSpec) -> dict:
     return {"name": axis.name, "min": axis.start, "max": axis.stop,
             "count": axis.count}
 
@@ -299,9 +360,11 @@ def _sweep_json(head: dict, grids: dict) -> str:
     return text + "\n}"
 
 
-def _axis_labels(axis: escape.AxisSpec) -> np.ndarray:
-    """The axis values as CSV text, each formatted once.  Held as objects,
-    so the CSV rows take these str objects instead of a new numpy str each."""
+def _axis_labels(axis: AxisSpec):
+    """The axis values as CSV text, each formatted once, in a numpy array
+    of objects, so the CSV rows take these str objects instead of a new
+    numpy str each."""
+    import numpy as np
     return np.array(["%.17g" % value for value in axis.values()], dtype=object)
 
 
@@ -310,6 +373,8 @@ def cmd_sweep(args) -> int:
     if stem is None:
         stem = "sweep"
     cfg = _load(args)
+    import numpy as np
+    from . import escape
     grid = escape.sweep_grid(cfg.params, cfg.axis1, cfg.axis2)
     csv_path = stem + ".csv"
     json_path = stem + ".json"
@@ -332,7 +397,7 @@ def cmd_sweep(args) -> int:
     }
     _write_text(json_path, [_sweep_json(head, grids), "\n"])
     if not grid.valid.any():
-        sys.stderr.write("warning: no valid cells in the requested grid\n")
+        _stderr("warning: no valid cells in the requested grid")
     _stdout().write(f"wrote {csv_path} and {json_path}\n")
     return EXIT_OK
 
@@ -401,10 +466,10 @@ def main(argv: Optional[list] = None) -> int:
         # again: send that flush to nowhere.
         if sys.stdout is not None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.stderr.write(f"error: cannot write to stdout: {exc}\n")
+        _stderr(f"error: cannot write to stdout: {exc}")
         return EXIT_CONFIG
     except tuple(_EXIT_CODES) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _stderr(f"error: {exc}")
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 

@@ -26,8 +26,7 @@ import configparser
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, HeterojjError, InvalidAxisError
-from .escape import AxisSpec
-from .model import JunctionParams
+from .inputs import AxisSpec, JunctionParams
 
 __all__ = ["RunConfig", "default_params", "default_config", "load_config", "parse_axis"]
 

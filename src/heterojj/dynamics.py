@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import _EXPORTS, _kernels, model
-from .errors import InvalidParameterError, NoEquilibriumError, NonFiniteStateError
+from .errors import NoEquilibriumError, NonFiniteStateError
 from .model import JunctionParams
 
 __all__ = list(_EXPORTS["dynamics"])
@@ -30,9 +30,7 @@ SWITCH_WINDOW = 2.0 * math.pi
 # equilibrium's gradient-norm goal and Newton iteration budget
 EQUILIBRIUM_TOL = 1e-12
 EQUILIBRIUM_MAX_ITER = 200
-# The most steps one integrate call takes: about 40 min of the pure-Python
-# kernel at ~2.2 us a step, and far beyond any run the commands need
-MAX_STEPS = 10**9
+MAX_STEPS = _kernels.MAX_STEPS  # the most steps one integrate call takes
 
 
 @dataclass(frozen=True)
@@ -46,9 +44,7 @@ class PhaseState:
     tau: float = 0.0
 
     def __post_init__(self):
-        for name in ("theta", "psi", "theta_dot", "psi_dot", "tau"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"PhaseState.{name} must be finite")
+        _kernels.check_state((self.theta, self.psi, self.theta_dot, self.psi_dot, self.tau))
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,7 @@ class Trajectory:
 def _inverse_mass(params: JunctionParams) -> Tuple[float, float]:
     """Diagonal inverse mass matrix (2 Lambda, 2 (alpha1+alpha2)) of (theta, psi)."""
     # theta's mass 1/(2 Lambda) differs from the escape chain's m_cm = 1/2
-    return 2.0 * model.derive(params).lambda_cap, 2.0 * model.channel_weights(params)[0]
+    return 2.0 * model.lambda_cap(params), 2.0 * model.channel_weights(params)[0]
 
 
 def acceleration(state: PhaseState, params: JunctionParams) -> Tuple[float, float]:
@@ -107,6 +103,9 @@ def acceleration(state: PhaseState, params: JunctionParams) -> Tuple[float, floa
 def integrate(initial: PhaseState, dt: float, n_steps: int,
               params: JunctionParams, stride: int = 1) -> Trajectory:
     """Fixed-step 4th-order integration of the coupled phase equations.
+
+    Runs the kernel :func:`heterojj._kernels.rk4_step_loop` as
+    :func:`heterojj._kernels.rk4_setup` sets it up, as ``simulate`` does.
 
     Parameters
     ----------
@@ -130,44 +129,23 @@ def integrate(initial: PhaseState, dt: float, n_steps: int,
         If any step produces a non-finite state or meets an infinite phase
         inside a stage (reports the step index).
     """
-    if not (dt > 0 and math.isfinite(dt)):
-        raise InvalidParameterError(f"dt must be finite and positive, got {dt!r}")
-    if n_steps < 1:
-        raise InvalidParameterError(f"n_steps must be >= 1, got {n_steps!r}")
-    if stride < 1:
-        raise InvalidParameterError(f"stride must be >= 1, got {stride!r}")
-    try:
-        row_dt = dt * stride
-    except OverflowError:  # an int beyond the float range
-        row_dt = math.inf
-    if not math.isfinite(row_dt):
-        raise InvalidParameterError(
-            "stride is too large: the time between stored rows, dt * stride, "
-            "does not fit in a float")
-    inv_theta, inv_psi = _inverse_mass(params)
-    try:
-        out = np.empty((n_steps // stride + 1, 4))
-    except (MemoryError, ValueError) as exc:  # numpy: "array is too big"
-        raise InvalidParameterError(
-            f"n_steps={n_steps!r} at stride={stride!r} needs a trajectory buffer "
-            f"that cannot be allocated ({exc})") from exc
-    # checked after the buffer: a run whose rows cannot be stored is refused for that
-    if n_steps > MAX_STEPS:
-        raise InvalidParameterError(
-            f"n_steps must be <= MAX_STEPS = {MAX_STEPS}, got {n_steps!r}")
-    s, a1, a2, ej_tilt = model.channel_weights(params)
-    bad_step = _kernels.rk4_step_loop(
-        initial.theta, initial.psi, initial.theta_dot, initial.psi_dot, dt, n_steps, stride,
-        0.5 * inv_theta, 2.0 * params.ej1, 2.0 * params.ej2, 2.0 * ej_tilt * params.bias,
-        params.kappa * 2.0 * s * params.ein, a1, a2,
-        2.0 * params.alpha1 * params.ej1, 2.0 * params.alpha2 * params.ej2, out)
+    state = (initial.theta, initial.psi, initial.theta_dot, initial.psi_dot, initial.tau)
+    args = _kernels.rk4_setup(state, dt, n_steps, stride, params)
+    return _trajectory(initial.tau, dt, stride, params, args[-1],
+                       _kernels.rk4_step_loop(*args))
+
+
+def _trajectory(tau0: float, dt: float, stride: int, params: JunctionParams,
+                out, bad_step: int) -> Trajectory:
+    """The :class:`Trajectory` of the rows the kernel wrote into ``out``,
+    or the NonFiniteStateError of the ``bad_step`` it returned."""
     if bad_step >= 0:
         raise NonFiniteStateError(int(bad_step))
-    theta, psi = out[:, 0], out[:, 1]
-    theta_dot, psi_dot = out[:, 2], out[:, 3]
+    theta, psi, theta_dot, psi_dot = np.frombuffer(out).reshape(-1, 4).T
+    inv_theta, inv_psi = _inverse_mass(params)
     # every stored state is finite, but its time or energy may still overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        tau = initial.tau + row_dt * np.arange(out.shape[0])
+        tau = tau0 + dt * stride * np.arange(theta.size)
         kinetic = theta_dot ** 2 / (2.0 * inv_theta) + psi_dot ** 2 / (2.0 * inv_psi)
         energy = kinetic + model.potential(theta, psi, params)
     return Trajectory(tau=tau, theta=theta, psi=psi, theta_dot=theta_dot,

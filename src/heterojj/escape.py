@@ -38,14 +38,13 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import InvalidAxisError, InvalidParameterError, NoBarrierError
-from .model import JunctionParams, channel_weights, derive, record
+from .inputs import AXIS_NAMES, AxisSpec, JunctionParams  # AXIS_NAMES: exported here
+from .model import channel_weights, derive, record
 
 __all__ = list(_EXPORTS["escape"])
 
 # Above this value the psi^2 truncation of the interaction is itself suspect.
 EPSILON_STRAIN_THRESHOLD = 0.2
-
-AXIS_NAMES = ("bias", "omega_ratio", "ej_over_ec", "alpha")
 
 
 @dataclass(frozen=True)
@@ -78,35 +77,6 @@ class EscapeResult:
     ln_prefactor: float
     ln_gamma: float
     eps: float
-
-
-@dataclass(frozen=True)
-class AxisSpec:
-    """One sweep axis: parameter name and an inclusive linear range."""
-
-    name: str
-    start: float
-    stop: float
-    count: int
-
-    def __post_init__(self):
-        if self.name not in AXIS_NAMES:
-            raise InvalidAxisError(
-                f"unknown axis name {self.name!r}; expected one of {AXIS_NAMES}")
-        if self.count < 2:
-            raise InvalidAxisError(f"axis {self.name!r} needs count >= 2, got {self.count}")
-        # stop - start is what np.linspace steps by: it must not overflow
-        if not math.isfinite(self.stop - self.start):
-            raise InvalidAxisError(
-                f"axis {self.name!r} range and its span must be finite: "
-                f"[{self.start}, {self.stop}]")
-        if not (self.start < self.stop):
-            raise InvalidAxisError(
-                f"axis {self.name!r} range is inverted or empty: "
-                f"[{self.start}, {self.stop}]")
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
 
 
 @dataclass(frozen=True)

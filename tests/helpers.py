@@ -86,11 +86,12 @@ def process_env():
     return env
 
 
-def run_process(argv, workdir):
+def run_process(argv, workdir, entry=("-m", "heterojj")):
     """Exit code, stdout and stderr (bytes) of ``python -m heterojj *argv``
-    run in a new session with ``workdir`` as the working directory, after
-    checking that the command left no process of its session running."""
-    with subprocess.Popen([sys.executable, "-m", "heterojj", *argv], cwd=workdir, env=process_env(),
+    (``python *entry *argv``) run in a new session with ``workdir`` as the
+    working directory, after checking that the command left no process of
+    its session running."""
+    with subprocess.Popen([sys.executable, *entry, *argv], cwd=workdir, env=process_env(),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           start_new_session=True) as proc:
         out, err = proc.communicate(timeout=120)

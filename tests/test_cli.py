@@ -324,6 +324,32 @@ def test_closed_stdout_exits_config(tmp_path, argv, code):
     assert proc.returncode == code
 
 
+# `heterojj COMMAND 2>&-` starts the process with sys.stderr = None; a pipe
+# whose read end is closed fails each write.  Either way the error or
+# warning line goes nowhere, and the exit code is the documented one.
+@pytest.mark.parametrize("closed", ["at-start", "pipe"])
+@pytest.mark.parametrize("argv,code", [
+    (["escape", "--config", "@critical.cfg"], 5),
+    (["derive", "--config", "/nonexistent/heterojj.cfg"], 2),
+    (["sweep", "--config", "@dead.cfg"], 0),
+], ids=["no-barrier", "unreadable-config", "sweep-warning"])
+def test_closed_stderr_keeps_the_exit_code(tmp_path, argv, code, closed):
+    write(tmp_path, "critical.cfg", REF_CONFIG.replace("bias = 0.95", "bias = 0.999"))
+    write(tmp_path, "dead.cfg", REF_CONFIG + "\n[run]\naxis1 = bias:1.5:2.0:3\n")
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    command = [sys.executable, "-m", "heterojj", *argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", *command] if closed == "at-start"
+                              else command, cwd=tmp_path, stdout=subprocess.PIPE,
+                              stderr=write_end, text=True, timeout=60, env=process_env())
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert proc.stdout == ("wrote sweep.csv and sweep.json\n" if code == 0 else "")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_full_stdout_device_exits_config():
     with open("/dev/full", "w") as full:
@@ -869,13 +895,47 @@ def test_cold_commands_load_only_their_modules(tmp_path):
                                      ["sweep", "--config", cfg, "--out", stem]])
     assert codes == [0, 0, 0]
     assert loaded == ["heterojj", "heterojj.cli", "heterojj.config", "heterojj.errors",
-                      "heterojj.escape", "heterojj.model"]
+                      "heterojj.escape", "heterojj.inputs", "heterojj.model"]
     codes, _, loaded = loaded_after([["simulate", "--config", cfg]])
     assert codes == [0]
-    assert integrator <= set(loaded) and not oracles & set(loaded)
+    assert integrator <= set(loaded) and not (oracles | {"heterojj.escape"}) & set(loaded)
     codes, _, loaded = loaded_after([["verify", "--config", cfg]])
     assert codes == [0]
     assert integrator | oracles <= set(loaded)
+
+
+# Runs in a fresh interpreter, as SCIPY_PROBE does: argv, the config file
+# and the checks of each input run before a command imports numpy, so these
+# commands end, each with its documented exit code, without loading it.
+FRONT_END_PROBE = r"""
+import json, sys
+from heterojj import cli, config
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        codes.append(cli.main(argv))
+    except SystemExit as exc:  # argparse's, for --version and a usage error
+        codes.append(exc.code)
+config.load_config(sys.argv[2])
+sys.stdout.write("\n" + json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}) + "\n")
+"""
+
+
+def test_front_end_refuses_bad_input_without_numpy(tmp_path):
+    kappa0 = write(tmp_path, "kappa0.cfg", "[junction]\nej1 = 50\nej2 = 50\nein = 125\nkappa = 0\n")
+    axis = write(tmp_path, "axis.cfg", REF_CONFIG + "\n[run]\naxis1 = bogus:0:1:5\n")
+    runaway = write(tmp_path, "runaway.cfg", REF_CONFIG + "\n[run]\nn_steps = 1000000001\n"
+                    "stride = 1000000000\n")
+    cases = [(["--version"], 0), (["derive", "--bogus"], 2),
+             (["derive", "--config", str(tmp_path / "missing.cfg")], 2),
+             (["derive", "--config", kappa0], 3), (["simulate", "--config", runaway], 3),
+             (["sweep", "--config", axis, "--out", str(tmp_path / "grid")], 6)]
+    proc = subprocess.run([sys.executable, "-c", FRONT_END_PROBE,
+                           json.dumps([argv for argv, _ in cases]), write(tmp_path, "ref.cfg", REF_CONFIG)],
+                          env=process_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [code for _, code in cases], "numpy": False}
 
 
 def test_verify_passes_where_scipy_cannot_be_imported():

@@ -2,8 +2,10 @@
 ends through ``heterojj.cli.run``, which flushes stdout and stderr and
 leaves with ``os._exit``.  Each command run that way gives the exit code,
 stdout, stderr and written files of the same ``main(argv)`` run in-process,
-and leaves no process behind."""
+and leaves no process behind: so does a cold ``simulate``, whose kernel
+runs in a forked helper, whether or not the helper can start or succeeds."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from heterojj import cli
+from heterojj._kernels import MAX_STEPS
 from helpers import process_env, run_in_process, run_process
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -23,6 +26,12 @@ CONFIGS = {
     # long enough for the split with a helper process
     "long.cfg": "[junction]\nej_over_ec = 100\nomega_ratio = 2\nbias = 0.5\n\n[run]\n"
                 f"n_steps = {2 * cli.CSV_SPLIT_ROWS + 1}\npsi0 = 0.01\n",
+    # theta runs past the float range at step 180
+    "runaway.cfg": "[junction]\nej_over_ec = 100\nomega_ratio = 2\nbias = 0.5\n\n[run]\n"
+                   "dt = 1\nn_steps = 5000\ntheta_dot0 = 1e306\n",
+    # two stored rows, but one step more than MAX_STEPS
+    "max-steps.cfg": "[junction]\nej_over_ec = 100\nomega_ratio = 2\n\n[run]\n"
+                     f"n_steps = {MAX_STEPS + 1}\nstride = {MAX_STEPS}\n",
 }
 
 # (id, argv, exit code): every documented exit code, both from main's return
@@ -55,15 +64,82 @@ def outputs(run, argv, workdir):
     return code, out, err, {p.name: p.read_bytes() for p in workdir.iterdir()}
 
 
+def write_configs(tmp_path, argv):
+    """Write CONFIGS into tmp_path; the argv with each "@name" resolved."""
+    for name, text in CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    return [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+
+
 @pytest.mark.parametrize("argv,code", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_process_gives_mains_code_and_bytes(tmp_path, monkeypatch, argv, code):
     monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help text to
-    for name, text in CONFIGS.items():
-        (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    argv = write_configs(tmp_path, argv)
     expected = outputs(run_in_process, argv, tmp_path / "main")
     assert expected[0] == code
     assert outputs(run_process, argv, tmp_path / "process") == expected
+
+
+def start_no_helper():
+    raise AssertionError("a helper process was started")
+
+
+# The process entry with os.fork wrapped: sys.argv[1] is the mode, and each
+# call appends it to the file sys.argv[2].  "count" forks as usual; "raise"
+# starts no process; "exit1" starts one that exits 1 at once.
+FORK_PROBE = r"""
+import errno, os, sys
+from heterojj import cli
+mode, log = sys.argv[1:3]
+del sys.argv[1:3]
+fork = os.fork
+
+
+def wrapped():
+    with open(log, "a") as fh:
+        fh.write(mode + "\n")
+    if mode == "raise":
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    pid = fork()
+    if pid == 0 and mode == "exit1":
+        os._exit(1)
+    return pid
+
+
+os.fork = wrapped
+cli.run()
+"""
+
+# (id, argv, exit code, whether the run forks a kernel helper where it can):
+# a cold simulate, which has not loaded numpy, integrates in a forked helper
+# while it imports numpy; main(argv) here, with numpy loaded, never does
+HELPER_CASES = [
+    ("stride-5000", ["simulate", "--config", "@long.cfg", "--stride", "5000"], 0, True),
+    ("non-finite", ["simulate", "--config", "@runaway.cfg"], 4, True),
+    ("full-out", ["simulate", "--config", "@long.cfg", "--stride", "5000",
+                  "--out", "/dev/full"], 2, True),
+    ("above-max-steps", ["simulate", "--config", "@max-steps.cfg"], 3, False),
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("mode", ["count", "raise", "exit1"])
+@pytest.mark.parametrize("argv,code,forks", [c[1:] for c in HELPER_CASES],
+                         ids=[c[0] for c in HELPER_CASES])
+def test_kernel_helper_gives_mains_code_and_bytes(tmp_path, monkeypatch, mode, argv, code, forks):
+    if argv[-1] == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs the /dev/full device")
+    argv = write_configs(tmp_path, argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", start_no_helper)
+        expected = outputs(run_in_process, argv, tmp_path / "main")
+    assert expected[0] == code
+    log = tmp_path / "forks"
+    log.touch()
+    assert outputs(lambda *a: run_process(*a, entry=("-c", FORK_PROBE, mode, str(log))),
+                   argv, tmp_path / "process") == expected
+    tries = 1 if forks and cli._second_cpu() else 0
+    assert log.read_text() == (mode + "\n") * tries
 
 
 # run() on a stand-in for main: sys.argv[1] is its body

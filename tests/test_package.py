@@ -57,7 +57,7 @@ print(json.dumps({"before": before, "after": loaded(), "points": spectrum_points
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["before"] == []
-    assert result["after"] == ["heterojj.errors", "heterojj.escape", "heterojj.model",
-                               "heterojj.oracle"]
+    assert result["after"] == ["heterojj.errors", "heterojj.escape", "heterojj.inputs",
+                               "heterojj.model", "heterojj.oracle"]
     assert result["points"] == heterojj.oracle.SPECTRUM_POINTS
     assert result["cached"]
