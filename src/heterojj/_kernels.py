@@ -17,6 +17,7 @@ output bit for bit.
 
 import math
 import mmap
+import numbers
 from itertools import chain
 
 from .errors import InvalidParameterError
@@ -40,16 +41,18 @@ def rk4_setup(state, dt, n_steps, stride, params) -> tuple:
     :func:`check_state` takes it; ``out`` is last, a new anonymous shared
     mapping that a forked process can fill.  Raises InvalidParameterError,
     in this order, for a non-finite state, a dt that is not finite and
-    positive, an ``n_steps`` or ``stride`` below 1, a ``dt * stride`` that
-    is not a finite float, a buffer that cannot be allocated and an
-    ``n_steps`` above MAX_STEPS."""
+    positive, an ``n_steps`` that is not an integer (a bool is not one) or
+    is below 1, a ``stride`` likewise, a ``dt * stride`` that is not a
+    finite float, a buffer that cannot be allocated and an ``n_steps``
+    above MAX_STEPS."""
     check_state(state)
     if not (dt > 0 and math.isfinite(dt)):
         raise InvalidParameterError(f"dt must be finite and positive, got {dt!r}")
-    if n_steps < 1:
-        raise InvalidParameterError(f"n_steps must be >= 1, got {n_steps!r}")
-    if stride < 1:
-        raise InvalidParameterError(f"stride must be >= 1, got {stride!r}")
+    for name, value in (("n_steps", n_steps), ("stride", stride)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise InvalidParameterError(f"{name} must be >= 1, got {value!r}")
     try:
         row_dt = dt * stride
     except OverflowError:  # an int beyond the float range

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from contextlib import closing
+from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import asdict
 from typing import Iterable, Iterator, Optional
 
@@ -165,64 +165,41 @@ def _second_cpu() -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-def _fork(work) -> Optional[int]:
-    """The pid of a forked helper that runs ``work()`` and exits 0, or 1 if
-    it raised, through os._exit: it never returns into the parent's code,
-    flushes the parent's buffers or prints.  None if it cannot start."""
-    try:
-        pid = os.fork()
-    except OSError:
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            work()
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
+@contextmanager
+def _helper(work, wanted: bool):
+    """A forked helper that runs ``work()`` beside the ``with`` body, where
+    ``wanted`` holds and a second CPU is at hand.  The body gets ``done()``:
+    it waits for the helper, and is True only if the helper ran ``work()``
+    to the end; False if none started, or it raised or was killed.  What the
+    helper did not do, the caller does itself.  The helper ends through
+    os._exit (1 if ``work`` raised), so it never returns into the parent's
+    code, flushes its buffers or prints.  One still running when the body
+    leaves is killed and reaped."""
+    pid = None
+    if wanted and _second_cpu():
+        with suppress(OSError):  # no helper
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                work()
+                code = 0
+            finally:
+                os._exit(code)
 
-
-def _reap(pid: int) -> int:
-    """Wait for the helper process ``pid`` to end; its exit code."""
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-
-def _csv_split_rows(columns: dict, n: int) -> Iterator[str]:
-    """Rows ``[0, n)`` as _csv_rows gives them, the second half formatted
-    at the same time by a forked helper into a temporary file and read back
-    READ_BACK_CHARS at a time.  Formats serially when no helper can be
-    started."""
-    import signal  # only a split table needs these two
-    import tempfile
-    half = n // 2
-    try:
-        tmp = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-    except OSError:
-        yield from _csv_rows(columns, 0, n)
-        return
-    with tmp:
-        def format_second_half():
-            tmp.writelines(_csv_rows(columns, half, n))
-            tmp.flush()
-        pid = _fork(format_second_half)
+    def done() -> bool:
+        nonlocal pid
         if pid is None:
-            yield from _csv_rows(columns, 0, n)
-            return
-        try:
-            yield from _csv_rows(columns, 0, half)
-            code = _reap(pid)
-            pid = 0
-            if code != 0:
-                raise ConfigError("the process formatting the second half of the CSV rows "
-                                  f"exited with status {code}")
-            tmp.seek(0)
-            while piece := tmp.read(READ_BACK_CHARS):
-                yield piece
-        finally:
-            if pid:  # the consumer stopped early, or the rows above raised
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            return False
+        code, pid = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), None
+        return code == 0
+    try:
+        yield done
+    finally:
+        if pid is not None:  # the body left early, or raised
+            import signal
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _csv(columns: dict, *footer: str) -> Iterator[str]:
@@ -234,15 +211,30 @@ def _csv(columns: dict, *footer: str) -> Iterator[str]:
     Rows come at most CSV_CHUNK_ROWS at a time, or READ_BACK_CHARS
     characters at a time for those a helper formatted.  Only one piece of
     text is held at a time, so writing the pieces as they come keeps the
-    text in memory bounded by the chunk, not the run.  A table of more than
-    CSV_SPLIT_ROWS rows is formatted on two CPUs where the process has them.
+    text in memory bounded by the chunk, not the run.  A helper formats the
+    second half of a table of more than CSV_SPLIT_ROWS rows into a temporary
+    file, where one can be made.
     """
     n = len(next(iter(columns.values())))
     yield ",".join(columns) + "\n"
-    if n > CSV_SPLIT_ROWS and _second_cpu():
-        yield from _csv_split_rows(columns, n)
-    else:
-        yield from _csv_rows(columns, 0, n)
+    half = n // 2 if n > CSV_SPLIT_ROWS else n
+    tmp = None
+    if half < n:
+        import tempfile  # only a split table needs it
+        with suppress(OSError):  # no helper
+            tmp = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+
+    def format_second_half():
+        tmp.writelines(_csv_rows(columns, half, n))
+        tmp.flush()
+    with tmp or nullcontext(), _helper(format_second_half, tmp is not None) as done:
+        yield from _csv_rows(columns, 0, half)
+        if done():
+            tmp.seek(0)
+            while piece := tmp.read(READ_BACK_CHARS):
+                yield piece
+        else:
+            yield from _csv_rows(columns, half, n)
     yield "".join(line + "\n" for line in footer)
 
 
@@ -252,24 +244,21 @@ def cmd_derive(args) -> int:
 
 def _trajectory(cfg: RunConfig, stride: int):
     """The run's dynamics.Trajectory.  The run is checked and set up without
-    numpy; where numpy is not loaded yet and a second CPU is at hand, a
-    forked helper runs the kernel while this process imports numpy.  With
-    no helper, or one that failed, this process integrates the run itself."""
-    import mmap
+    numpy; where numpy is not loaded yet, a helper runs the kernel while
+    this process imports numpy.  Without a helper that ran a clean run to
+    the end, this process integrates the run itself."""
     from . import _kernels
     state = (cfg.theta0, cfg.psi0, cfg.theta_dot0, cfg.psi_dot0, 0.0)
     args = _kernels.rk4_setup(state, cfg.dt, cfg.n_steps, stride, cfg.params)
-    slot = memoryview(mmap.mmap(-1, 8)).cast("q")  # the helper's return value
 
     def integrate():  # into the shared buffer args[-1]
-        slot[0] = _kernels.rk4_step_loop(*args)
-    pid = _fork(integrate) if "numpy" not in sys.modules and _second_cpu() else None
-    try:
+        bad_step = _kernels.rk4_step_loop(*args)
+        if bad_step >= 0:
+            raise NonFiniteStateError(bad_step)
+    with _helper(integrate, "numpy" not in sys.modules) as done:
         from . import dynamics  # numpy loads here, beside the helper
-    finally:
-        done = pid is not None and _reap(pid) == 0
-    if done:
-        return dynamics._trajectory(state[4], cfg.dt, stride, cfg.params, args[-1], slot[0])
+        if done():
+            return dynamics._trajectory(state[4], cfg.dt, stride, cfg.params, args[-1], -1)
     # as a library caller does; it sets the run up again, in microseconds
     return dynamics.integrate(dynamics.PhaseState(*state), cfg.dt, cfg.n_steps, cfg.params,
                               stride=stride)

@@ -115,8 +115,6 @@ def _junction_params(section) -> JunctionParams:
     for key in _SHARED_KEYS:
         if key in keys:
             shared[key] = _get(section, key, "junction")
-    kappa = shared.pop("kappa")
-    kappa = int(kappa) if float(kappa).is_integer() else kappa
     if direct:
         for key in _DIRECT_KEYS:
             if key not in keys:
@@ -124,8 +122,7 @@ def _junction_params(section) -> JunctionParams:
                                   "(direct style needs ej1, ej2, ein)")
         return JunctionParams(ej1=_get(section, "ej1", "junction"),
                               ej2=_get(section, "ej2", "junction"),
-                              ein=_get(section, "ein", "junction"),
-                              kappa=kappa, **shared)
+                              ein=_get(section, "ein", "junction"), **shared)
     if ratio:
         for key in ("ej_over_ec", "omega_ratio"):
             if key not in keys:
@@ -135,7 +132,7 @@ def _junction_params(section) -> JunctionParams:
         return JunctionParams.from_ratios(
             _get(section, "ej_over_ec", "junction"),
             _get(section, "omega_ratio", "junction"),
-            j_ratio, kappa=kappa, **shared)
+            j_ratio, **shared)
     raise ConfigError("missing key 'ein' in [junction]: provide ej1/ej2/ein "
                       "or ej_over_ec/omega_ratio")
 

@@ -122,7 +122,8 @@ def integrate(initial: PhaseState, dt: float, n_steps: int,
     Raises
     ------
     InvalidParameterError
-        If ``stride`` is too large for ``dt * stride`` to be a float, the
+        If ``n_steps`` or ``stride`` is not an integer or is below 1,
+        ``stride`` is too large for ``dt * stride`` to be a float, the
         output buffer for ``n_steps // stride + 1`` rows cannot be
         allocated, or ``n_steps`` is above ``MAX_STEPS``.
     NonFiniteStateError

@@ -57,7 +57,7 @@ class JunctionParams:
             v = getattr(self, name)
             if not (_is_real(v) and math.isfinite(v) and v > 0):
                 raise InvalidParameterError(f"{name} must be finite and positive, got {v!r}")
-        if isinstance(self.kappa, bool) or self.kappa not in (1, -1):
+        if not (_is_real(self.kappa) and self.kappa in (1, -1)):
             raise InvalidParameterError(f"kappa must be +1 or -1 exactly, got {self.kappa!r}")
         if not (_is_real(self.bias) and math.isfinite(self.bias) and self.bias >= 0):
             raise InvalidParameterError(f"bias must be finite and >= 0, got {self.bias!r}")
@@ -65,6 +65,7 @@ class JunctionParams:
         # precision into every derived scale
         for name in ("ej1", "ej2", "ein", "alpha1", "alpha2", "bias"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "kappa", int(self.kappa))
 
     @classmethod
     def from_ratios(cls, ej_over_ec: float, omega_ratio: float, j_ratio: float = 1.0,

@@ -1,10 +1,10 @@
 import dataclasses
 import errno
 import gc
-import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -369,28 +369,6 @@ def test_full_output_file_stops_the_csv_helper(tmp_path, capsys, monkeypatch):
     assert_no_child_left()
 
 
-class UnwritableFile(io.StringIO):
-    """A temporary file whose writes fail, as on a full disk."""
-
-    def writelines(self, lines):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
-def test_failed_csv_helper_exits_config(tmp_path, capsys, monkeypatch, to_file):
-    monkeypatch.setattr(cli, "_second_cpu", lambda: True)
-    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs: UnwritableFile())
-    cfg = write(tmp_path, "sim.cfg",
-                SIM_CONFIG.replace("n_steps = 2000", f"n_steps = {cli.CSV_SPLIT_ROWS}"))
-    out = ["--out", str(tmp_path / "run.csv")] if to_file else []
-    assert main(["simulate", "--config", cfg, "--stride", "1", *out]) == 2
-    err = capsys.readouterr().err
-    assert err == ("error: the process formatting the second half of the CSV rows "
-                   "exited with status 1\n")
-    assert_no_child_left()
-
-
 # every state is finite, but an energy or a time overflows
 @pytest.mark.parametrize("run,column,value", [
     ("bias = 0\n[run]\ntheta_dot0 = 1e200\n", "energy", "inf"),
@@ -485,13 +463,75 @@ def no_temp_file(mp):
     mp.setattr(tempfile, "TemporaryFile", refuse)
 
 
-# With no second CPU, no os.fork, or no helper to be had, the rows are
-# formatted in this process alone.
-@pytest.mark.parametrize("patch", [one_cpu, no_fork, fork_fails, no_temp_file])
-def test_csv_without_a_helper_is_the_same_text(monkeypatch, patch):
+def fork_ending(end):
+    """os.fork, with the child calling ``end()`` at once."""
+    fork = os.fork
+
+    def wrapped():
+        pid = fork()
+        if pid == 0:
+            end()
+        return pid
+    return wrapped
+
+
+def helper_exits_1(mp):
+    mp.setattr(cli, "_second_cpu", lambda: True)
+    mp.setattr(os, "fork", fork_ending(lambda: os._exit(1)))
+
+
+def helper_killed(mp):
+    mp.setattr(cli, "_second_cpu", lambda: True)
+    mp.setattr(os, "fork", fork_ending(lambda: os.kill(os.getpid(), signal.SIGKILL)))
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+# With no second CPU, no os.fork, no helper to be had, or a helper that
+# fails, the rows a helper did not format are formatted in this process:
+# the text, and simulate's output and exit code, are those of a run
+# without a helper.
+@pytest.mark.parametrize("patch", [one_cpu, no_fork, fork_fails, no_temp_file,
+                                   pytest.param(helper_exits_1, marks=needs_fork),
+                                   pytest.param(helper_killed, marks=needs_fork)])
+def test_csv_without_a_helper_is_the_same_text(tmp_path, capsys, monkeypatch, patch):
     columns, footer, text = table(cli.CSV_SPLIT_ROWS + 1)
+    cfg = write(tmp_path, "sim.cfg",
+                SIM_CONFIG.replace("n_steps = 2000", f"n_steps = {cli.CSV_SPLIT_ROWS}"))
+    argv = ["simulate", "--config", cfg, "--stride", "1"]
+    with monkeypatch.context() as mp:
+        one_cpu(mp)
+        assert main(argv) == 0
+    expected = capsys.readouterr()
     patch(monkeypatch)
     assert "".join(cli._csv(columns, *footer)) == text
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
+    assert main([*argv, "--out", str(tmp_path / "run.csv")]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert (tmp_path / "run.csv").read_bytes().decode() == expected.out
+    assert_no_child_left()
+
+
+# A cold simulate imports numpy (with dynamics) while a helper runs the
+# kernel; if that import fails, the helper is stopped and reaped.
+@needs_fork
+def test_failed_import_stops_the_kernel_helper(tmp_path, monkeypatch):
+    import heterojj
+    cfg = write(tmp_path, "sim.cfg", SIM_CONFIG.replace("n_steps = 2000", "n_steps = 1000000")
+                + "stride = 1000000\n")
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(cli, "_second_cpu", lambda: True)
+    # as before the first numpy import, with dynamics failing to import
+    monkeypatch.delitem(sys.modules, "numpy")
+    monkeypatch.setitem(sys.modules, "heterojj.dynamics", None)
+    monkeypatch.delattr(heterojj, "dynamics", raising=False)
+    with pytest.raises(ImportError):
+        main(["simulate", "--config", cfg])
+    assert forks == [1]
     assert_no_child_left()
 
 

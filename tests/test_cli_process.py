@@ -86,9 +86,10 @@ def start_no_helper():
 
 # The process entry with os.fork wrapped: sys.argv[1] is the mode, and each
 # call appends it to the file sys.argv[2].  "count" forks as usual; "raise"
-# starts no process; "exit1" starts one that exits 1 at once.
+# starts no process; "exit1" starts one that exits 1 at once; "kill" one
+# that kills itself with SIGKILL at once.
 FORK_PROBE = r"""
-import errno, os, sys
+import errno, os, signal, sys
 from heterojj import cli
 mode, log = sys.argv[1:3]
 del sys.argv[1:3]
@@ -103,6 +104,8 @@ def wrapped():
     pid = fork()
     if pid == 0 and mode == "exit1":
         os._exit(1)
+    if pid == 0 and mode == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
     return pid
 
 
@@ -123,7 +126,7 @@ HELPER_CASES = [
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("mode", ["count", "raise", "exit1"])
+@pytest.mark.parametrize("mode", ["count", "raise", "exit1", "kill"])
 @pytest.mark.parametrize("argv,code,forks", [c[1:] for c in HELPER_CASES],
                          ids=[c[0] for c in HELPER_CASES])
 def test_kernel_helper_gives_mains_code_and_bytes(tmp_path, monkeypatch, mode, argv, code, forks):

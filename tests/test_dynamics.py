@@ -62,6 +62,13 @@ def test_integrate_argument_validation():
         integrate(state, 1e-3, 0, SYMMETRIC)
     with pytest.raises(InvalidParameterError):
         integrate(state, 1e-3, 10, SYMMETRIC, stride=0)
+    # a count is an integer, numpy's included; a float or a bool is refused
+    # by name
+    for n_steps, stride, name in ((100.0, 1, "n_steps"), (10, 2.5, "stride"),
+                                  (True, 1, "n_steps"), (10, np.True_, "stride")):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be an integer"):
+            integrate(state, 1e-3, n_steps, SYMMETRIC, stride=stride)
+    assert integrate(state, 1e-3, np.int64(10), SYMMETRIC, stride=np.int32(5)).tau.size == 3
     # numpy refuses a 2**60-row output buffer before allocating any of it
     with pytest.raises(InvalidParameterError, match=r"n_steps=\d+ at stride=1 "):
         integrate(state, 1e-3, 2**60, SYMMETRIC)

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -43,8 +45,16 @@ def test_numpy_scalars_accepted_as_floats(field, scalar, value):
 
 @pytest.mark.parametrize("field", ["ej1", "alpha1", "bias", "kappa"])
 def test_bool_rejected(field):
-    with pytest.raises(InvalidParameterError, match=field):
-        SYMMETRIC.replace(**{field: True})
+    for flag in (True, np.True_):
+        with pytest.raises(InvalidParameterError, match=field):
+            SYMMETRIC.replace(**{field: flag})
+
+
+@pytest.mark.parametrize("kappa", [np.int64(-1), 1.0, np.float64(-1.0), np.int32(1)])
+def test_kappa_stored_as_int(kappa):
+    p = SYMMETRIC.replace(kappa=kappa)
+    assert type(p.kappa) is int and p.kappa == kappa
+    assert json.loads(json.dumps(dataclasses.asdict(p)))["kappa"] == kappa
 
 
 def test_from_ratios_reproduces_ratios():
