@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import gc
+import io
 import json
 import math
 import os
@@ -366,6 +367,40 @@ def test_full_output_file_stops_the_csv_helper(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write output file '/dev/full': ")
     assert err.count("\n") == 1
+    assert_no_child_left()
+
+
+class UnwritableFile(io.StringIO):
+    """A temporary file whose writes fail, as on a full disk."""
+
+    def writelines(self, lines):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# A CSV helper whose temporary file cannot be written exits 1.  That is no
+# config error: the command formats those rows itself and exits 0 with the
+# output of a run without a helper, to a file or to stdout.
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_failed_csv_helper_exits_config(tmp_path, capsys, monkeypatch, to_file):
+    cfg = write(tmp_path, "sim.cfg",
+                SIM_CONFIG.replace("n_steps = 2000", f"n_steps = {cli.CSV_SPLIT_ROWS}"))
+    argv = ["simulate", "--config", cfg, "--stride", "1"]
+    with monkeypatch.context() as mp:
+        one_cpu(mp)
+        assert main(argv) == 0
+    expected = capsys.readouterr().out
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(cli, "_second_cpu", lambda: True)
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs: UnwritableFile())
+    out = tmp_path / "run.csv"
+    assert main([*argv, "--out", str(out)] if to_file else argv) == 0
+    assert forks == [1]
+    assert capsys.readouterr() == (("", "") if to_file else (expected, ""))
+    if to_file:
+        assert out.read_bytes().decode() == expected
     assert_no_child_left()
 
 
