@@ -176,11 +176,9 @@ def equilibrium(params: JunctionParams) -> Tuple[float, float]:
     theta_start = math.asin(min(params.bias, 1.0))
     x = np.array([theta_start, 0.0])
     value = float(model.potential(x[0], x[1], params))
-    converged = False
     for _ in range(EQUILIBRIUM_MAX_ITER):
         grad = np.array(model.potential_gradient(x[0], x[1], params))
         if np.linalg.norm(grad) < goal:
-            converged = True
             break
         hess = model.potential_hessian(x[0], x[1], params)
         lam_min = float(np.linalg.eigvalsh(hess)[0])
@@ -194,12 +192,10 @@ def equilibrium(params: JunctionParams) -> Tuple[float, float]:
         if step_norm > math.pi:
             step = step * (math.pi / step_norm)
         slope = float(grad @ step)
-        if abs(slope) <= 1e-12 * max(abs(value), 1.0):
-            # Predicted decrease is below the rounding resolution of V:
-            # inside the quadratic basin, polish with full Newton steps.
-            scale = 1.0
-        else:
-            scale = 1.0
+        scale = 1.0
+        # A predicted decrease below the rounding resolution of V means the
+        # quadratic basin: polish with full Newton steps.
+        if abs(slope) > 1e-12 * max(abs(value), 1.0):
             while scale > 1e-12:
                 trial = x + scale * step
                 trial_value = float(model.potential(trial[0], trial[1], params))
@@ -218,7 +214,7 @@ def equilibrium(params: JunctionParams) -> Tuple[float, float]:
             raise NoEquilibriumError(
                 f"iteration ran down the washboard at bias={params.bias} "
                 "(no static solution below the critical tilt)")
-    if not converged:
+    else:
         raise NoEquilibriumError(
             f"Newton iteration did not reach gradient norm {goal} at bias={params.bias}")
     eigs = np.linalg.eigvalsh(model.potential_hessian(x[0], x[1], params))

@@ -15,7 +15,10 @@ is evaluated in the cubic-barrier instanton approximation,
 
 with w(I) = omega_P [(1-eps)^2 - I^2]^(1/4), (1-eps) sin(theta0) = I and
 V0 = w(I)^2 cot^2(theta0) / 3.  All rates are carried as natural logs to
-stay overflow-safe at large E_J/E_C.
+stay overflow-safe at large E_J/E_C.  Only :func:`escape_rate_ln` states
+the formula and its barrier rule, eps >= 0 and 0 < bias < 1 - eps: a
+point outside the rule raises, an array cell outside it is NaN, and
+:func:`sweep_grid` is one call of :func:`enhancement_ratio_ln`.
 
 The formula is semiclassical: it holds for a bounce exponent B >> 1
 (Caldeira & Leggett, Ann. Phys. 149, 374 (1983)).  At fixed bias, with
@@ -32,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Tuple
 
 import numpy as np
 
@@ -84,11 +86,11 @@ class SweepGrid:
     """Rectangular grid of ln(Gamma/Gamma0) over two parameter axes.
 
     ``values[i, j]`` corresponds to axis1 value i, axis2 value j (row-major).
-    Cells without a barrier (bias >= 1 - eps) or with invalid parameters are
-    NaN with ``valid[i, j]`` False; neighbors are unaffected.  ``valid``
-    means "barrier exists and parameters are valid", not "the rate is
-    semiclassical": a valid cell may have B_eps below 1 or past the
-    turnover at B_eps = 7/10 (see the module docstring).
+    Cells outside the barrier rule of :func:`escape_rate_ln` or with invalid
+    parameters are NaN with ``valid[i, j]`` False; neighbors are
+    unaffected.  ``valid`` means "barrier exists and parameters are valid",
+    not "the rate is semiclassical": a valid cell may have B_eps below 1 or
+    past the turnover at B_eps = 7/10 (see the module docstring).
     """
 
     axis1: AxisSpec
@@ -128,21 +130,48 @@ def epsilon(params: JunctionParams) -> FluctuationRenorm:
                   strained=eps > EPSILON_STRAIN_THRESHOLD)
 
 
-def _instanton(omega_p, bias, eps) -> EscapeResult:
-    """Cubic-barrier geometry and ln(Gamma), broadcast over array arguments.
+def escape_rate_ln(params: JunctionParams, eps: float) -> EscapeResult:
+    """Log escape rate ln(Gamma) of the cubic-barrier instanton formula.
 
-    theta0 solves (1-eps) sin(theta0) = bias; omega_p_i is the bias- and
-    eps-softened plasma frequency omega_P [(1-eps)^2 - bias^2]^(1/4); v0
-    is the barrier height omega_p_i^2 cot^2(theta0)/3 (here evaluated as
-    omega_p_i^2 u / (3 bias^2) with u = (1-eps)^2 - bias^2, the same closed
-    form without re-entering trig functions).  No domain checks: outside
-    0 < bias < 1 - eps the fields are NaN or meaningless, and a result that
-    overflows double precision is inf or NaN.
+    Assembled entirely in log space,
+
+        ln(Gamma) = ln 12 + ln w(I) + (1/2) ln(3 V0 / (2 pi w(I)))
+                    - 36 V0 / (5 w(I)),
+
+    so the bare exponent is never exponentiated (rates at large E_J/E_C
+    would overflow a double).  V0 is evaluated as w(I)^2 u / (3 bias^2)
+    with u = (1-eps)^2 - bias^2, without re-entering trig functions.  The
+    prefactor scales as u^(7/8) and ``exponent_b`` as u^(5/4); the formula
+    holds for exponent_b >> 1 and is returned as computed outside that
+    domain (an overflow as inf or NaN).
+
+    The barrier rule is eps >= 0 and 0 < bias < 1 - eps: the cubic
+    expansion degenerates in the untilted well, and past the tilt (an
+    eps >= 1 included) the phase runs freely.  A :class:`JunctionParams`
+    outside it raises InvalidParameterError, or NoBarrierError past the
+    tilt.  Any other object with the same fields broadcasts as
+    :func:`heterojj.model.derive` does, NaN in the cells outside the rule.
     """
+    bias = params.bias
+    if isinstance(params, JunctionParams):
+        if not eps >= 0.0:  # a NaN fails this too
+            raise InvalidParameterError(f"eps must satisfy eps >= 0, got {eps!r}")
+        if bias <= 0.0:
+            raise InvalidParameterError(
+                "the cubic-barrier chain requires bias > 0 (the untilted well has no "
+                "cubic exit path)")
+        if bias >= 1.0 - eps:
+            raise NoBarrierError(
+                f"no barrier: bias={bias} >= 1 - eps = {1.0 - eps} "
+                "(classical running state)")
+    else:
+        # a cell outside the rule is NaN: past the tilt u < 0, whose fourth
+        # root would be complex for a Python float bias
+        bias = np.where((eps >= 0.0) & (bias > 0.0) & (bias < 1.0 - eps), bias, np.nan)
     theta0 = np.arcsin(bias / (1.0 - eps))
     # factored form of (1-eps)^2 - bias^2: no cancellation near critical tilt
     u = (1.0 - eps - bias) * (1.0 - eps + bias)
-    omega_p_i = omega_p * u ** 0.25
+    omega_p_i = derive(params).omega_p * u ** 0.25
     with np.errstate(all="ignore"):
         # np.divide, not /: a bias whose square underflows to 0 gives inf
         # here instead of a ZeroDivisionError from Python floats
@@ -153,37 +182,6 @@ def _instanton(omega_p, bias, eps) -> EscapeResult:
         return record(EscapeResult, omega_p_i=omega_p_i, theta0=theta0, v0=v0,
                       exponent_b=exponent_b, ln_prefactor=ln_prefactor,
                       ln_gamma=ln_prefactor - exponent_b, eps=eps)
-
-
-def escape_rate_ln(params: JunctionParams, eps: float) -> EscapeResult:
-    """Log escape rate ln(Gamma) of the cubic-barrier instanton formula.
-
-    Assembled entirely in log space,
-
-        ln(Gamma) = ln 12 + ln w(I) + (1/2) ln(3 V0 / (2 pi w(I)))
-                    - 36 V0 / (5 w(I)),
-
-    so the bare exponent is never exponentiated (rates at large E_J/E_C
-    would overflow a double).  In u = (1-eps)^2 - bias^2 the prefactor
-    scales as u^(7/8) and ``exponent_b`` as u^(5/4); the formula holds for
-    exponent_b >> 1 and is returned as computed outside that domain.
-
-    Raises NoBarrierError when bias >= 1 - eps (classical running state),
-    an eps >= 1 that wipes the barrier out included.  The chain requires
-    eps >= 0, and bias > 0: the cubic expansion degenerates in the
-    untilted well.
-    """
-    if not eps >= 0.0:  # a NaN fails this too
-        raise InvalidParameterError(f"eps must satisfy eps >= 0, got {eps!r}")
-    if params.bias <= 0.0:
-        raise InvalidParameterError(
-            "the cubic-barrier chain requires bias > 0 (the untilted well has no "
-            "cubic exit path)")
-    if params.bias >= 1.0 - eps:
-        raise NoBarrierError(
-            f"no barrier: bias={params.bias} >= 1 - eps = {1.0 - eps} "
-            "(classical running state)")
-    return _instanton(derive(params).omega_p, params.bias, eps)
 
 
 def enhancement_ratio_ln(params: JunctionParams) -> float:
@@ -197,7 +195,8 @@ def enhancement_ratio_ln(params: JunctionParams) -> float:
     B_eps > 7/10, peaks at B_eps = 7/10 and falls beyond it (prefactor
     u^(7/8) against exponent u^(5/4)).  It is thus positive and grows with
     omega_P/omega_JL wherever B_eps >= 7/10, the semiclassical domain
-    B_eps >> 1 included.
+    B_eps >> 1 included.  Array fields give an array, NaN where
+    :func:`escape_rate_ln`'s barrier rule fails.
     """
     corrected = escape_rate_ln(params, epsilon(params).epsilon)
     bare = escape_rate_ln(params, 0.0)
@@ -209,11 +208,11 @@ def sweep_grid(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec) -> SweepG
 
     Axis semantics: ``alpha`` sets alpha1 = alpha2, ``ej_over_ec`` rescales
     both channels at fixed asymmetry, and ``omega_ratio`` solves ein last,
-    from the cell's final E_J and alpha.  The whole grid runs through the
-    same array-valued chain as the point functions.  Cells where the
-    parameters are invalid (omega_ratio <= 0 included) or the barrier is
-    gone are flagged invalid (NaN value) without affecting their neighbors.
-    A grid too large to allocate raises InvalidAxisError.
+    from the cell's final E_J and alpha.  The whole grid is one call of
+    :func:`enhancement_ratio_ln` on array fields.  Cells with invalid
+    parameters (omega_ratio <= 0 included) or outside the barrier rule are
+    NaN and invalid without affecting their neighbors.  A grid too large to
+    allocate raises InvalidAxisError.
     """
     if axis1.name == axis2.name:
         raise InvalidAxisError(f"axes must differ, both are {axis1.name!r}")
@@ -230,14 +229,12 @@ def sweep_grid(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec) -> SweepG
 
 
 def _sweep_cells(base: JunctionParams, axis1: AxisSpec,
-                 axis2: AxisSpec) -> Tuple[np.ndarray, np.ndarray]:
+                 axis2: AxisSpec) -> tuple[np.ndarray, np.ndarray]:
     """The ``values`` and ``valid`` arrays of :func:`sweep_grid`."""
     axes = {axis1.name: axis1.values()[:, None], axis2.name: axis2.values()[None, :]}
-    # a fixed bias is a numpy scalar: past the tilt the bare instanton's
-    # fourth root of 1 - bias^2 is then NaN, where a Python float's would be complex
     cell = SimpleNamespace(ej1=base.ej1, ej2=base.ej2, ein=base.ein,
                            alpha1=base.alpha1, alpha2=base.alpha2, kappa=base.kappa,
-                           bias=axes.get("bias", np.float64(base.bias)))
+                           bias=axes.get("bias", base.bias))
     with np.errstate(all="ignore"):
         if "alpha" in axes:
             cell.alpha1 = cell.alpha2 = axes["alpha"]
@@ -250,12 +247,8 @@ def _sweep_cells(base: JunctionParams, axis1: AxisSpec,
             # no positive ein solves a ratio <= 0; NaN marks those cells invalid
             cell.ein = np.where(ratio > 0.0, (cell.ej1 + cell.ej2)
                                 / (channel_weights(cell)[0] * ratio * ratio), np.nan)
-        eps = epsilon(cell).epsilon
-        omega_p = derive(cell).omega_p
-        ln_ratio = (_instanton(omega_p, cell.bias, eps).ln_gamma
-                    - _instanton(omega_p, cell.bias, 0.0).ln_gamma)
-        valid = ((0.0 <= eps) & (0.0 < cell.bias) & (cell.bias < 1.0 - eps)
-                 & np.isfinite(ln_ratio))
+        ln_ratio = enhancement_ratio_ln(cell)
+        valid = np.isfinite(ln_ratio)
         for v in (cell.ej1, cell.ej2, cell.ein, cell.alpha1, cell.alpha2):
             valid = valid & np.isfinite(v) & (v > 0.0)
     valid = np.broadcast_to(valid, (axis1.count, axis2.count)).copy()

@@ -81,8 +81,8 @@ class JunctionParams:
         # alpha1 + alpha2 divides below, so the alphas are checked here too
         for name, v in (("ej_over_ec", ej_over_ec), ("omega_ratio", omega_ratio),
                         ("j_ratio", j_ratio), ("alpha1", alpha1), ("alpha2", alpha2)):
-            if not (math.isfinite(v) and v > 0):
-                raise InvalidParameterError(f"{name} must be positive, got {v!r}")
+            if not (_is_real(v) and math.isfinite(v) and v > 0):
+                raise InvalidParameterError(f"{name} must be a positive real number, got {v!r}")
         ej1 = ej_over_ec * j_ratio / (1.0 + j_ratio)
         ej2 = ej_over_ec / (1.0 + j_ratio)
         # omega_JL = omega_P / ratio with omega_P^2 = 2(ej1+ej2)
@@ -131,6 +131,9 @@ class AxisSpec:
         if self.name not in AXIS_NAMES:
             raise InvalidAxisError(
                 f"unknown axis name {self.name!r}; expected one of {AXIS_NAMES}")
+        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
+            raise InvalidAxisError(
+                f"axis {self.name!r} count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise InvalidAxisError(f"axis {self.name!r} needs count >= 2, got {self.count}")
         # stop - start is what np.linspace steps by: it must not overflow

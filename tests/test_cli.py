@@ -685,7 +685,7 @@ def test_escape_ln_ratio_is_the_librarys_bit_for_bit(tmp_path, capsys):
 
 
 def test_escape_evaluates_its_chain_once(monkeypatch, capsys):
-    calls = {"epsilon": 0, "_instanton": 0, "derive": 0}
+    calls = {"epsilon": 0, "escape_rate_ln": 0, "derive": 0}
 
     def counted(name):
         fn = getattr(escape, name)
@@ -698,7 +698,7 @@ def test_escape_evaluates_its_chain_once(monkeypatch, capsys):
     for name in calls:
         counted(name)
     assert main(["escape"]) == 0
-    assert (calls["epsilon"], calls["_instanton"]) == (1, 2)
+    assert (calls["epsilon"], calls["escape_rate_ln"]) == (1, 2)
     calls["derive"] = 0
     escape.epsilon(default_params())
     assert calls["derive"] == 1

@@ -8,7 +8,7 @@ from heterojj import (InvalidParameterError, JunctionParams, NoEquilibriumError,
                       detect_switching, equilibrium, integrate,
                       potential_gradient, reduced_voltage,
                       small_oscillation_frequencies)
-from heterojj import _kernels
+from heterojj import _kernels, dynamics
 from helpers import dominant_angular_frequency, random_params
 
 SYMMETRIC = JunctionParams(ej1=50.0, ej2=50.0, ein=125.0, alpha1=0.1, alpha2=0.1)
@@ -199,6 +199,15 @@ def test_equilibrium_asymmetric_residual():
 def test_equilibrium_above_critical_tilt():
     with pytest.raises(NoEquilibriumError):
         equilibrium(SYMMETRIC.replace(bias=1.2))
+
+
+def test_equilibrium_refuses_past_its_iteration_budget(monkeypatch):
+    # this junction needs more than one Newton step to reach its minimum
+    p = JunctionParams.from_ratios(100, 2, 3.0, 0.05, 0.2, 1, 0.5)
+    equilibrium(p)
+    monkeypatch.setattr(dynamics, "EQUILIBRIUM_MAX_ITER", 1)
+    with pytest.raises(NoEquilibriumError, match="did not reach gradient norm"):
+        equilibrium(p)
 
 
 # ------------------------------------------------------------- normal modes

@@ -225,6 +225,18 @@ def test_axis_spec_validation():
         AxisSpec("bias", -1e308, 1e308, 5)
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0, True, np.float64(3.0)])
+def test_axis_spec_refuses_a_count_that_is_not_an_integer(count):
+    with pytest.raises(InvalidAxisError, match="'bias' count must be an integer"):
+        AxisSpec("bias", 0.9, 0.99, count)
+
+
+def test_axis_spec_takes_a_numpy_integer_count():
+    grid = sweep_grid(REF_POINT, AxisSpec("bias", 0.9, 0.99, np.int64(3)),
+                      AxisSpec("omega_ratio", 1.0, 3.0, 2))
+    assert grid.values.shape == (3, 2) and grid.valid.all()
+
+
 def test_sweep_rejects_duplicate_axes():
     with pytest.raises(InvalidAxisError):
         sweep_grid(REF_POINT, AxisSpec("bias", 0.9, 0.95, 3), AxisSpec("bias", 0.9, 0.95, 3))

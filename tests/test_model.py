@@ -71,6 +71,16 @@ def test_from_ratios_reproduces_ratios():
         JunctionParams.from_ratios(-5.0, 2.0)
 
 
+@pytest.mark.parametrize("name, args, kwargs", [
+    ("j_ratio", (100, 2), {"j_ratio": True}),
+    ("ej_over_ec", (np.True_, 2), {}),
+    ("omega_ratio", (100, 2 + 0j), {}),
+])
+def test_from_ratios_refuses_bools_and_complex_values(name, args, kwargs):
+    with pytest.raises(InvalidParameterError, match=name):
+        JunctionParams.from_ratios(*args, **kwargs)
+
+
 # ------------------------------------------------------------ derived scales
 
 def test_lambda_example():

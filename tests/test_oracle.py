@@ -255,13 +255,13 @@ def test_verify_bounce_row_reads_the_shipped_exponent(monkeypatch):
     # pass against a re-typed copy of 36 v0 / (5 omega_p_i)
     from heterojj import escape
 
-    instanton = escape._instanton
+    shipped = escape.escape_rate_ln
 
     def skewed(*args):
-        result = instanton(*args)
+        result = shipped(*args)
         return dataclasses.replace(result, exponent_b=result.exponent_b * 1.001)
 
-    monkeypatch.setattr(escape, "_instanton", skewed)
+    monkeypatch.setattr(escape, "escape_rate_ln", skewed)
     rows = _rows(REF_POINT)
     assert not rows["bounce-vs-closed-form"].passed
     assert rows["cubic-barrier-height"].passed and rows["cubic-curvature"].passed
