@@ -59,10 +59,6 @@ CSV_SPLIT_ROWS = 4 * CSV_CHUNK_ROWS
 # Characters of the helper's (ASCII) text read back at a time.
 READ_BACK_CHARS = 1 << 16
 
-# The EscapeResult fields of the escape report, in report order.
-_ESCAPE_FIELDS = ("theta0", "omega_p_i", "v0", "exponent_b", "ln_prefactor",
-                  "ln_gamma")
-
 
 def __getattr__(name):
     # heterojj.cli.derive is model.derive, looked up on use: model imports numpy
@@ -91,11 +87,8 @@ def _load(args) -> RunConfig:
 
 def _derive_report(cfg: RunConfig) -> dict:
     from . import escape, model
-    fluct = escape.epsilon(cfg.params)
     return {**asdict(cfg.params), **asdict(model.derive(cfg.params)),
-            "psi_variance": fluct.psi_variance, "epsilon": fluct.epsilon,
-            "epsilon_from_ratio": fluct.epsilon_from_ratio,
-            "epsilon_valid": fluct.valid, "epsilon_strained": fluct.strained}
+            **asdict(escape.epsilon(cfg.params))}
 
 
 def _print_flat(report: dict, stream) -> None:
@@ -168,15 +161,15 @@ def _second_cpu() -> bool:
 @contextmanager
 def _helper(work, wanted: bool):
     """A forked helper that runs ``work()`` beside the ``with`` body, where
-    ``wanted`` holds and a second CPU is at hand.  The body gets ``done()``:
-    it waits for the helper, and is True only if the helper ran ``work()``
-    to the end; False if none started, or it raised or was killed.  What the
-    helper did not do, the caller does itself.  The helper ends through
-    os._exit (1 if ``work`` raised), so it never returns into the parent's
-    code, flushes its buffers or prints.  One still running when the body
-    leaves is killed and reaped."""
+    ``wanted`` holds; a caller wants one only where :func:`_second_cpu` is
+    True.  The body gets ``done()``: it waits for the helper, and is True
+    only if the helper ran ``work()`` to the end; False if none started, or
+    it raised or was killed.  What the helper did not do, the caller does
+    itself.  The helper ends through os._exit (1 if ``work`` raised), so it
+    never returns into the parent's code, flushes its buffers or prints.
+    One still running when the body leaves is killed and reaped."""
     pid = None
-    if wanted and _second_cpu():
+    if wanted:
         with suppress(OSError):  # no helper
             pid = os.fork()
         if pid == 0:
@@ -213,11 +206,11 @@ def _csv(columns: dict, *footer: str) -> Iterator[str]:
     text is held at a time, so writing the pieces as they come keeps the
     text in memory bounded by the chunk, not the run.  A helper formats the
     second half of a table of more than CSV_SPLIT_ROWS rows into a temporary
-    file, where one can be made.
+    file, where a second CPU is at hand and the file can be made.
     """
     n = len(next(iter(columns.values())))
     yield ",".join(columns) + "\n"
-    half = n // 2 if n > CSV_SPLIT_ROWS else n
+    half = n // 2 if n > CSV_SPLIT_ROWS and _second_cpu() else n
     tmp = None
     if half < n:
         import tempfile  # only a split table needs it
@@ -255,7 +248,7 @@ def _trajectory(cfg: RunConfig, stride: int):
         bad_step = _kernels.rk4_step_loop(*args)
         if bad_step >= 0:
             raise NonFiniteStateError(bad_step)
-    with _helper(integrate, "numpy" not in sys.modules) as done:
+    with _helper(integrate, "numpy" not in sys.modules and _second_cpu()) as done:
         from . import dynamics  # numpy loads here, beside the helper
         if done():
             return dynamics._trajectory(state[4], cfg.dt, stride, cfg.params, args[-1], -1)
@@ -318,8 +311,7 @@ def _escape_report(cfg: RunConfig) -> dict:
     bare = escape.escape_rate_ln(cfg.params, 0.0)
     report = {"epsilon": fluct.epsilon, "psi_variance": fluct.psi_variance}
     for label, result in (("corrected", corrected), ("bare", bare)):
-        report.update((f"{label}_{name}", getattr(result, name))
-                      for name in _ESCAPE_FIELDS)
+        report.update((f"{label}_{name}", value) for name, value in asdict(result).items())
     ln_ratio = corrected.ln_gamma - bare.ln_gamma
     report["ln_ratio"] = ln_ratio
     if abs(ln_ratio) < 700.0:
@@ -359,8 +351,6 @@ def _axis_labels(axis: AxisSpec):
 
 def cmd_sweep(args) -> int:
     stem = _out(args, "stem")
-    if stem is None:
-        stem = "sweep"
     cfg = _load(args)
     import numpy as np
     from . import escape
@@ -431,8 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="ln(Gamma/Gamma0) over a parameter grid")
     add_common(p)
-    p.add_argument("--out", metavar="STEM",
-                   help="output stem; writes STEM.csv and STEM.json (default 'sweep')")
+    p.add_argument("--out", metavar="STEM", default="sweep",
+                   help="output stem; writes STEM.csv and STEM.json (default %(default)r)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the oracle suite, nonzero exit on failure")

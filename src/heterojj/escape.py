@@ -56,29 +56,28 @@ class FluctuationRenorm:
     ``epsilon`` is g_plus * <psi^2>; ``epsilon_from_ratio`` is the
     equivalent frequency-ratio form (g_plus/sqrt(2)) (alpha1+alpha2)
     (omega_P/omega_JL) sqrt(1/E_J) - the two are algebraically identical and
-    both are kept as a cross-check.  ``valid`` is False once eps >= 1 (the
-    renormalization wipes out the barrier); ``strained`` marks eps > 0.2
-    where the small-psi expansion is stretched.
+    both are kept as a cross-check.  ``epsilon_valid`` is False once eps >= 1
+    (the renormalization wipes out the barrier); ``epsilon_strained`` marks
+    eps > 0.2 where the small-psi expansion is stretched.
     """
 
     psi_variance: float
     epsilon: float
     epsilon_from_ratio: float
-    valid: bool
-    strained: bool
+    epsilon_valid: bool
+    epsilon_strained: bool
 
 
 @dataclass(frozen=True)
 class EscapeResult:
     """Barrier geometry and log escape rate for one parameter point."""
 
-    omega_p_i: float
     theta0: float
+    omega_p_i: float
     v0: float
     exponent_b: float
     ln_prefactor: float
     ln_gamma: float
-    eps: float
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,8 @@ def epsilon(params: JunctionParams) -> FluctuationRenorm:
         eps_ratio = (scales.g_plus / math.sqrt(2.0)) * s \
             * np.divide(scales.omega_p, scales.omega_jl) * np.sqrt(1.0 / scales.ej_sum)
     return record(FluctuationRenorm, psi_variance=var, epsilon=eps,
-                  epsilon_from_ratio=eps_ratio, valid=eps < 1.0,
-                  strained=eps > EPSILON_STRAIN_THRESHOLD)
+                  epsilon_from_ratio=eps_ratio, epsilon_valid=eps < 1.0,
+                  epsilon_strained=eps > EPSILON_STRAIN_THRESHOLD)
 
 
 def escape_rate_ln(params: JunctionParams, eps: float) -> EscapeResult:
@@ -179,9 +178,9 @@ def escape_rate_ln(params: JunctionParams, eps: float) -> EscapeResult:
         exponent_b = 36.0 * v0 / (5.0 * omega_p_i)
         ln_prefactor = (math.log(12.0) + np.log(omega_p_i)
                         + 0.5 * np.log(3.0 * v0 / (2.0 * math.pi * omega_p_i)))
-        return record(EscapeResult, omega_p_i=omega_p_i, theta0=theta0, v0=v0,
+        return record(EscapeResult, theta0=theta0, omega_p_i=omega_p_i, v0=v0,
                       exponent_b=exponent_b, ln_prefactor=ln_prefactor,
-                      ln_gamma=ln_prefactor - exponent_b, eps=eps)
+                      ln_gamma=ln_prefactor - exponent_b)
 
 
 def enhancement_ratio_ln(params: JunctionParams) -> float:

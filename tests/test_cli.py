@@ -136,6 +136,22 @@ def test_window_key_rejected(tmp_path, capsys):
     assert "'window'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,code,message", [
+    (REF_CONFIG + "\n[extra]\nx = 1\n", 2, "unknown section [extra]"),
+    ("[run]\nn_steps = 10\n", 2, "missing [junction] section"),
+    ("[junction]\nbias = 0.5\n", 2,
+     "missing key 'ein' in [junction]: provide ej1/ej2/ein or ej_over_ec/omega_ratio"),
+    (REF_CONFIG + "\n[run]\naxis1 = bias:0.9:0.99:x\n", 6, "axis spec 'bias:0.9:0.99:x': "),
+], ids=["extra-section", "no-junction", "no-style", "axis-count"])
+def test_config_error_names_its_cause(tmp_path, capsys, text, code, message):
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main(["derive", "--config", cfg]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
 def test_unreadable_config(capsys):
     assert main(["derive", "--config", "/nonexistent/nowhere.cfg"]) == 2
 
@@ -547,6 +563,25 @@ def test_csv_without_a_helper_is_the_same_text(tmp_path, capsys, monkeypatch, pa
     assert capsys.readouterr() == ("", "")
     assert (tmp_path / "run.csv").read_bytes().decode() == expected.out
     assert_no_child_left()
+
+
+# A table long enough to split opens its temporary file only where a
+# helper can fork to write it.
+def test_one_cpu_split_opens_no_temporary_file(tmp_path, capsys, monkeypatch):
+    cfg = write(tmp_path, "sim.cfg",
+                SIM_CONFIG.replace("n_steps = 2000", f"n_steps = {cli.CSV_SPLIT_ROWS}"))
+    argv = ["simulate", "--config", cfg, "--stride", "1"]
+    monkeypatch.setattr(cli, "_second_cpu", lambda: hasattr(os, "fork"))
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    opened = []
+    make = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile",
+                        lambda *args, **kwargs: opened.append(1) or make(*args, **kwargs))
+    monkeypatch.setattr(cli, "_second_cpu", lambda: False)
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
+    assert opened == []
 
 
 # A cold simulate imports numpy (with dynamics) while a helper runs the

@@ -6,7 +6,7 @@ import pytest
 from heterojj import (InvalidParameterError, JunctionParams, NoEquilibriumError,
                       NonFiniteStateError, PhaseState, acceleration, derive,
                       detect_switching, equilibrium, integrate,
-                      potential_gradient, reduced_voltage,
+                      potential_gradient, potential_hessian, reduced_voltage,
                       small_oscillation_frequencies)
 from heterojj import _kernels, dynamics
 from helpers import dominant_angular_frequency, random_params
@@ -199,6 +199,18 @@ def test_equilibrium_asymmetric_residual():
 def test_equilibrium_above_critical_tilt():
     with pytest.raises(NoEquilibriumError):
         equilibrium(SYMMETRIC.replace(bias=1.2))
+
+
+def test_equilibrium_backtracks_to_the_minimum():
+    # the first Newton steps here overshoot and are halved twice; full steps
+    # run down the washboard
+    p = JunctionParams.from_ratios(100, 2, 1.5, 0.05, 0.2, -1, 0.9)
+    theta, psi = equilibrium(p)
+    assert theta == pytest.approx(0.742537320445144, rel=1e-12)
+    assert psi == pytest.approx(2.6958774440125413, rel=1e-12)
+    assert np.linalg.norm(potential_gradient(theta, psi, p)) < 1e-12
+    assert np.linalg.eigvalsh(potential_hessian(theta, psi, p)) == pytest.approx(
+        [23.31, 94.94], abs=0.01)
 
 
 def test_equilibrium_refuses_past_its_iteration_budget(monkeypatch):

@@ -45,7 +45,7 @@ def test_variance_scales_inverse_sqrt_ein():
 def test_epsilon_reference_value():
     fluct = epsilon(REF_POINT)
     assert fluct.epsilon == pytest.approx(3.5355339059327377e-3, rel=1e-12)
-    assert fluct.valid and not fluct.strained
+    assert fluct.epsilon_valid and not fluct.epsilon_strained
 
 
 def test_epsilon_dual_forms_agree_over_draws():
@@ -66,10 +66,10 @@ def test_epsilon_vanishes_for_stiff_leggett_mode():
 def test_epsilon_flags():
     strained = JunctionParams(ej1=50.0, ej2=50.0, ein=0.03)
     fluct = epsilon(strained)
-    assert fluct.strained and fluct.valid
+    assert fluct.epsilon_strained and fluct.epsilon_valid
     wiped = JunctionParams(ej1=50.0, ej2=50.0, ein=0.001)
     fluct = epsilon(wiped)
-    assert not fluct.valid
+    assert not fluct.epsilon_valid
 
 
 # -------------------------------------------------------------- barrier chain
