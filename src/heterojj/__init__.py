@@ -23,8 +23,7 @@ _EXPORTS = {
                  "equilibrium", "small_oscillation_frequencies",
                  "reduced_voltage", "detect_switching"),
     "escape": ("FluctuationRenorm", "EscapeResult", "AxisSpec", "SweepGrid",
-               "zero_point_variance", "epsilon", "escape_rate_ln",
-               "enhancement_ratio_ln", "sweep_grid"),
+               "epsilon", "escape_rate_ln", "enhancement_ratio_ln", "sweep_grid"),
     "oracle": ("SpectrumResult", "BounceResult", "CubicFit", "harmonic_spectrum",
                "bounce_action", "cubic_fit"),
     "errors": ("HeterojjError", "InvalidParameterError", "ConfigError",

@@ -3,7 +3,7 @@
 The junction block accepts either the direct energies (ej1, ej2, ein) or the
 sweep-style ratios (ej_over_ec, omega_ratio, and optionally j_ratio) -
 exactly one of the two styles.  alpha1, alpha2, kappa, and bias are common
-to both and default to the symmetric reference point alpha = 0.1,
+to both and default to those of :func:`default_params`: alpha = 0.1,
 kappa = +1, bias = 0.95.
 
 Example::
@@ -33,7 +33,6 @@ __all__ = ["RunConfig", "default_params", "default_config", "load_config", "pars
 _DIRECT_KEYS = ("ej1", "ej2", "ein")
 _RATIO_KEYS = ("ej_over_ec", "omega_ratio", "j_ratio")
 _SHARED_KEYS = ("alpha1", "alpha2", "kappa", "bias")
-_SHARED_DEFAULTS = {"alpha1": 0.1, "alpha2": 0.1, "kappa": 1.0, "bias": 0.95}
 
 
 def default_params() -> JunctionParams:
@@ -111,10 +110,9 @@ def _junction_params(section) -> JunctionParams:
         raise ConfigError(
             "exactly one parameterization style allowed in [junction]: "
             f"found direct keys {sorted(direct)} and ratio keys {sorted(ratio)}")
-    shared = dict(_SHARED_DEFAULTS)
-    for key in _SHARED_KEYS:
-        if key in keys:
-            shared[key] = _get(section, key, "junction")
+    reference = default_params()
+    shared = {key: _get(section, key, "junction") if key in keys else getattr(reference, key)
+              for key in _SHARED_KEYS}
     if direct:
         for key in _DIRECT_KEYS:
             if key not in keys:

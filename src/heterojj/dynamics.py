@@ -30,7 +30,6 @@ SWITCH_WINDOW = 2.0 * math.pi
 # equilibrium's gradient-norm goal and Newton iteration budget
 EQUILIBRIUM_TOL = 1e-12
 EQUILIBRIUM_MAX_ITER = 200
-MAX_STEPS = _kernels.MAX_STEPS  # the most steps one integrate call takes
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,8 @@ def integrate(initial: PhaseState, dt: float, n_steps: int,
     InvalidParameterError
         If ``n_steps`` or ``stride`` is not an integer or is below 1,
         ``stride`` is too large for ``dt * stride`` to be a float, the
-        output buffer for ``n_steps // stride + 1`` rows cannot be
-        allocated, or ``n_steps`` is above ``MAX_STEPS``.
+        output buffer for ``n_steps // stride + 1`` rows cannot be allocated,
+        or ``n_steps`` is above ``heterojj._kernels.MAX_STEPS``.
     NonFiniteStateError
         If any step produces a non-finite state or meets an infinite phase
         inside a stage (reports the step index).
@@ -164,11 +163,13 @@ def equilibrium(params: JunctionParams) -> Tuple[float, float]:
     iteration in a cycle.  Near the solution this is plain Newton and the
     gradient norm is polished below ``EQUILIBRIUM_TOL`` (widened to the
     rounding floor of the energy scale, which only matters above
-    E_J ~ 10^3 E_C) within ``EQUILIBRIUM_MAX_ITER`` iterations.
+    E_J ~ 10^3 E_C) within ``EQUILIBRIUM_MAX_ITER`` iterations.  A
+    stationary point that is not a minimum is left downhill along its
+    negative-curvature direction, so the iteration ends only at a minimum.
 
     Raises :class:`NoEquilibriumError` when the iteration runs off the
-    washboard, stalls, or lands on a non-minimum stationary point - the
-    signatures of a bias at or above the classical critical tilt.
+    washboard, stalls, or does not converge - the signatures of a bias at
+    or above the classical critical tilt.
     """
     energy_scale = params.ej1 + params.ej2 + params.ein
     floor = 8.0 * np.finfo(float).eps * energy_scale * max(1.0, params.bias)
@@ -178,10 +179,14 @@ def equilibrium(params: JunctionParams) -> Tuple[float, float]:
     value = float(model.potential(x[0], x[1], params))
     for _ in range(EQUILIBRIUM_MAX_ITER):
         grad = np.array(model.potential_gradient(x[0], x[1], params))
-        if np.linalg.norm(grad) < goal:
-            break
         hess = model.potential_hessian(x[0], x[1], params)
         lam_min = float(np.linalg.eigvalsh(hess)[0])
+        if np.linalg.norm(grad) < goal:
+            if lam_min > 0.0:
+                break
+            # a saddle, such as the start at zero bias for kappa = -1: leave it
+            # downhill along the direction of negative curvature
+            grad = goal * np.linalg.eigh(hess)[1][:, 0]
         if lam_min <= 0.0:
             hess = hess + (abs(lam_min) + 1e-9 * energy_scale) * np.eye(2)
         step = np.linalg.solve(hess, -grad)
@@ -217,11 +222,6 @@ def equilibrium(params: JunctionParams) -> Tuple[float, float]:
     else:
         raise NoEquilibriumError(
             f"Newton iteration did not reach gradient norm {goal} at bias={params.bias}")
-    eigs = np.linalg.eigvalsh(model.potential_hessian(x[0], x[1], params))
-    if eigs[0] <= 0.0:
-        raise NoEquilibriumError(
-            f"stationary point at bias={params.bias} is not a minimum "
-            "(bias at or above the classical critical tilt)")
     return float(x[0]), float(x[1])
 
 
@@ -250,7 +250,7 @@ def reduced_voltage(state: PhaseState, params: JunctionParams) -> float:
     motion contributes nothing.  A :class:`Trajectory` as ``state`` gives
     the voltage of every sample as an array.
     """
-    return state.theta_dot / (0.5 * _inverse_mass(params)[0])
+    return state.theta_dot / model.lambda_cap(params)
 
 
 def detect_switching(trajectory: Trajectory) -> Optional[float]:

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import InvalidAxisError, InvalidParameterError, NoBarrierError
-from .inputs import AXIS_NAMES, AxisSpec, JunctionParams  # AXIS_NAMES: exported here
+from .inputs import AxisSpec, JunctionParams
 from .model import channel_weights, derive, record
 
 __all__ = list(_EXPORTS["escape"])
@@ -97,16 +97,6 @@ class SweepGrid:
     values: np.ndarray
     valid: np.ndarray
     base: JunctionParams
-
-
-def zero_point_variance(params: JunctionParams) -> float:
-    """Ground-state variance <psi^2> of the relative phase at T = 0.
-
-    Equals (alpha1+alpha2)/omega_JL in reduced units, i.e.
-    1/(2 m_rlt omega_JL) for the harmonic Leggett well.  The mean <psi>
-    vanishes at T = 0.  Broadcasts like :func:`heterojj.model.derive`.
-    """
-    return epsilon(params).psi_variance
 
 
 def epsilon(params: JunctionParams) -> FluctuationRenorm:

@@ -120,7 +120,7 @@ def harmonic_spectrum(params: JunctionParams) -> SpectrumResult:
         If any level spacing changes by more than 0.1% when the grid is
         refined from N to 2N points.
     """
-    half_width = SPECTRUM_HALFWIDTH_SIGMAS * math.sqrt(escape.zero_point_variance(params))
+    half_width = SPECTRUM_HALFWIDTH_SIGMAS * math.sqrt(escape.epsilon(params).psi_variance)
     if not math.isfinite(half_width):
         raise InvalidParameterError(
             f"the DVR psi box half-width is not finite ({half_width!r}): "

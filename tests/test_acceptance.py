@@ -13,8 +13,7 @@ import pytest
 from heterojj import (AxisSpec, JunctionParams, NoBarrierError, PhaseState,
                       bounce_action, cubic_fit, derive, enhancement_ratio_ln,
                       epsilon, escape_rate_ln, integrate, harmonic_spectrum,
-                      small_oscillation_frequencies, sweep_grid,
-                      zero_point_variance)
+                      small_oscillation_frequencies, sweep_grid)
 from heterojj.cli import main
 from helpers import dominant_angular_frequency, random_params
 
@@ -65,7 +64,7 @@ def test_criterion_2_quantization_oracle():
     spec = harmonic_spectrum(REF_POINT)
     ground_reference = scales.omega_jl / 2.0
     assert abs(spec.eigenvalues[0] - ground_reference) / ground_reference < 1e-3
-    analytic_variance = zero_point_variance(REF_POINT)
+    analytic_variance = epsilon(REF_POINT).psi_variance
     assert abs(spec.ground_psi_variance - analytic_variance) / analytic_variance < 1e-3
     gaps = np.diff(spec.eigenvalues)[:5]
     assert np.max(np.abs(gaps - scales.omega_jl)) / scales.omega_jl < 5e-3

@@ -141,8 +141,10 @@ def test_window_key_rejected(tmp_path, capsys):
     ("[run]\nn_steps = 10\n", 2, "missing [junction] section"),
     ("[junction]\nbias = 0.5\n", 2,
      "missing key 'ein' in [junction]: provide ej1/ej2/ein or ej_over_ec/omega_ratio"),
+    ("[junction]\nej1 = 50\nej2 = 50\n", 2,
+     "missing key 'ein' in [junction] (direct style needs ej1, ej2, ein)"),
     (REF_CONFIG + "\n[run]\naxis1 = bias:0.9:0.99:x\n", 6, "axis spec 'bias:0.9:0.99:x': "),
-], ids=["extra-section", "no-junction", "no-style", "axis-count"])
+], ids=["extra-section", "no-junction", "no-style", "direct-no-ein", "axis-count"])
 def test_config_error_names_its_cause(tmp_path, capsys, text, code, message):
     cfg = write(tmp_path, "bad.cfg", text)
     assert main(["derive", "--config", cfg]) == code

@@ -8,8 +8,9 @@ plus sweep axes of at most 20 points and the simulate keys of [run]
 1, a failed check) without an exception escaping ``main``; a report or
 table printed or a trajectory CSV written with exit 0 holds no NaN or
 infinity, and a sweep written with exit 0 has strict JSON and finite axis
-values.  The program refuses an ``n_steps`` above ``dynamics.MAX_STEPS``;
-the strategy still caps it at 200, so that the suite stays fast.
+values.  The program refuses an ``n_steps`` above
+``heterojj._kernels.MAX_STEPS``; the strategy still caps it at 200, so
+that the suite stays fast.
 """
 
 import csv
@@ -22,7 +23,7 @@ import tempfile
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from heterojj.escape import AXIS_NAMES
+from heterojj.inputs import AXIS_NAMES
 from helpers import run_cli
 
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6}

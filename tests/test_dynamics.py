@@ -5,7 +5,7 @@ import pytest
 
 from heterojj import (InvalidParameterError, JunctionParams, NoEquilibriumError,
                       NonFiniteStateError, PhaseState, acceleration, derive,
-                      detect_switching, equilibrium, integrate,
+                      detect_switching, equilibrium, integrate, potential,
                       potential_gradient, potential_hessian, reduced_voltage,
                       small_oscillation_frequencies)
 from heterojj import _kernels, dynamics
@@ -201,6 +201,35 @@ def test_equilibrium_above_critical_tilt():
         equilibrium(SYMMETRIC.replace(bias=1.2))
 
 
+def test_equilibrium_leaves_the_zero_bias_saddle():
+    # at zero bias the start (0, 0) is stationary, and for this kappa = -1
+    # junction it is a saddle; the minimum is the one a tiny bias reaches, up
+    # to the zero-bias symmetry (theta, psi) -> (-theta, -psi)
+    p = JunctionParams.from_ratios(100, 2, 1.5, 0.05, 0.2, -1, 0.0)
+    theta, psi = equilibrium(p)
+    assert np.linalg.norm(potential_gradient(theta, psi, p)) < 1e-12
+    assert np.linalg.eigvalsh(potential_hessian(theta, psi, p))[0] > 0.0
+    near_theta, near_psi = equilibrium(p.replace(bias=1e-9))
+    assert (abs(theta), abs(psi)) == pytest.approx((abs(near_theta), abs(near_psi)), abs=1e-8)
+    assert theta * psi < 0.0
+    # 2 ej_tilt bias = 120 is above the largest restoring force, ej1 + ej2 = 100
+    with pytest.raises(NoEquilibriumError):
+        equilibrium(p.replace(bias=3.0))
+
+
+@pytest.mark.parametrize("bias", [0.0, 0.9])
+def test_equilibrium_leaves_the_saddles_of_the_symmetric_axis(bias):
+    # at j = 1 and kappa = -1 the tilt ej_tilt vanishes and symmetry keeps the
+    # iteration on psi = 0, where V = -100 cos(theta) cos(psi/2) + 125 cos(psi)
+    # has only saddles; its minimum is at cos(theta) cos(psi/2) = 0.2
+    p = JunctionParams.from_ratios(100, 2, 1, 0.1, 0.1, -1, bias)
+    theta, psi = equilibrium(p)
+    assert np.linalg.norm(potential_gradient(theta, psi, p)) < 1e-12
+    assert np.linalg.eigvalsh(potential_hessian(theta, psi, p))[0] > 0.0
+    assert potential(theta, psi, p) == pytest.approx(-135.0, rel=1e-12)
+    assert math.cos(theta) * math.cos(psi / 2) == pytest.approx(0.2, rel=1e-12)
+
+
 def test_equilibrium_backtracks_to_the_minimum():
     # the first Newton steps here overshoot and are halved twice; full steps
     # run down the washboard
@@ -237,11 +266,12 @@ def test_mode_frequencies_symmetric_zero_bias():
 
 def test_mode_frequencies_positive_when_equilibrium_exists():
     # Strongly asymmetric junctions can lose their connected minimum below
-    # bias = 1; wherever one exists, both mode frequencies must be positive.
+    # bias = 1; wherever one exists, for either sign of kappa, both mode
+    # frequencies must be positive.
     rng = np.random.default_rng(42)
     found = 0
     for _ in range(40):
-        p = random_params(rng, bias_range=(0.0, 0.8))
+        p = random_params(rng, bias_range=(0.0, 0.8), kappa_choices=(1, -1))
         try:
             f_low, f_high = small_oscillation_frequencies(p)
         except NoEquilibriumError:

@@ -6,7 +6,7 @@ import pytest
 
 from heterojj import (AxisSpec, InvalidAxisError, InvalidParameterError,
                       JunctionParams, NoBarrierError, derive, enhancement_ratio_ln,
-                      epsilon, escape_rate_ln, sweep_grid, zero_point_variance)
+                      epsilon, escape_rate_ln, sweep_grid)
 from helpers import random_params
 
 REF_POINT = JunctionParams.from_ratios(100.0, 2.0, 1.0, 0.1, 0.1, 1, 0.95)
@@ -31,12 +31,12 @@ def ref_point_at(bias, ratio):
 
 def test_zero_point_variance_value():
     expected = 0.2 / math.sqrt(2.0 * 0.2 * 125.0)
-    assert zero_point_variance(REF_POINT) == pytest.approx(expected, rel=1e-14)
+    assert epsilon(REF_POINT).psi_variance == pytest.approx(expected, rel=1e-14)
 
 
 def test_variance_scales_inverse_sqrt_ein():
-    base = zero_point_variance(REF_POINT)
-    doubled = zero_point_variance(REF_POINT.replace(ein=250.0))
+    base = epsilon(REF_POINT).psi_variance
+    doubled = epsilon(REF_POINT.replace(ein=250.0)).psi_variance
     assert doubled == pytest.approx(base / math.sqrt(2.0), rel=1e-12)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from heterojj import (ConvergenceError, InvalidParameterError, JunctionParams,
                       NoBarrierError, bounce_action, cubic_fit, derive, epsilon,
-                      escape_rate_ln, harmonic_spectrum, zero_point_variance)
+                      escape_rate_ln, harmonic_spectrum)
 from heterojj import oracle
 from heterojj.oracle import _dvr_levels
 
@@ -30,7 +30,7 @@ def test_ground_energy_is_half_quantum():
 
 def test_ground_variance_matches_closed_form():
     spec = harmonic_spectrum(REF_POINT)
-    analytic = zero_point_variance(REF_POINT)
+    analytic = epsilon(REF_POINT).psi_variance
     assert abs(spec.ground_psi_variance - analytic) / analytic < 1e-3
 
 
@@ -57,7 +57,7 @@ def test_dvr_converges_exponentially():
     # the error ratio of successive grids grows, which no power law of h
     # does, and by 32 points the ground energy is exact to 1e-10
     scales = derive(REF_POINT)
-    sigma = math.sqrt(zero_point_variance(REF_POINT))
+    sigma = math.sqrt(epsilon(REF_POINT).psi_variance)
     ground = scales.omega_jl / 2
 
     def error(n):

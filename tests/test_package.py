@@ -13,7 +13,7 @@ import heterojj
 
 
 def test_every_public_name_is_its_defining_modules_object():
-    assert len(heterojj.__all__) == len(set(heterojj.__all__)) == 39
+    assert len(heterojj.__all__) == len(set(heterojj.__all__)) == 38
     assert heterojj.JunctionParams is heterojj.model.JunctionParams
     for name in set(heterojj.__all__) - {"__version__"}:
         value = getattr(heterojj, name)
