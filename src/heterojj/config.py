@@ -147,7 +147,7 @@ def load_config(path: str) -> RunConfig:
                                        comment_prefixes=("#",),
                                        inline_comment_prefixes=("#",))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc

@@ -254,9 +254,9 @@ def reduced_voltage(state: PhaseState, params: JunctionParams) -> float:
 
 
 def detect_switching(trajectory: Trajectory) -> Optional[float]:
-    """Earliest tau at which theta has advanced more than ``SWITCH_WINDOW``
-    (one washboard period) from its starting value, or None if the phase
-    stays trapped."""
+    """Earliest tau at which theta is more than ``SWITCH_WINDOW`` (one
+    washboard period) from its starting value, in either direction, or None
+    if the phase stays trapped."""
     advance = np.abs(trajectory.theta - trajectory.theta[0])
     hits = np.nonzero(advance > SWITCH_WINDOW)[0]
     if hits.size == 0:

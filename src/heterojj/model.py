@@ -14,7 +14,6 @@ average that couples to voltage and bias) and the relative phase ``psi``
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,13 +125,13 @@ def potential_gradient(theta, psi, params: JunctionParams):
     return dv_dtheta, dv_dpsi
 
 
-def potential_hessian(theta: float, psi: float, params: JunctionParams) -> np.ndarray:
-    """Analytic 2x2 Hessian of :func:`potential` at a point."""
+def potential_hessian(theta, psi, params: JunctionParams) -> np.ndarray:
+    """Analytic Hessian of :func:`potential`: 2x2 at a point, (2, 2, *shape) on arrays."""
     _, a1, a2, _ = channel_weights(params)
-    c1 = math.cos(theta + a1 * psi)
-    c2 = math.cos(theta - a2 * psi)
+    c1 = np.cos(theta + a1 * psi)
+    c2 = np.cos(theta - a2 * psi)
     vtt = params.ej1 * c1 + params.ej2 * c2
     vtp = params.ej1 * a1 * c1 - params.ej2 * a2 * c2
     vpp = (params.ej1 * a1 * a1 * c1 + params.ej2 * a2 * a2 * c2
-           + params.kappa * params.ein * math.cos(psi))
+           + params.kappa * params.ein * np.cos(psi))
     return np.array([[vtt, vtp], [vtp, vpp]])

@@ -74,11 +74,11 @@ class CubicFit:
     theta_exit: float
     theta_min: float
 
-    def profile(self) -> Callable[[float], float]:
+    def profile(self) -> Callable:
         """The fitted cubic as a plain callable with minimum value 0."""
         a, c, t0 = self.quad_coeff, self.cubic_coeff, self.theta_min
 
-        def cubic(theta: float) -> float:
+        def cubic(theta):
             x = theta - t0
             return 0.5 * a * x * x + c * x * x * x / 6.0
 
@@ -141,7 +141,7 @@ def harmonic_spectrum(params: JunctionParams) -> SpectrumResult:
                           resolution_shift=shift)
 
 
-def bounce_action(potential_profile: Callable[[float], float], mass: float,
+def bounce_action(potential_profile: Callable, mass: float,
                   theta_min: float) -> BounceResult:
     """Zero-temperature bounce action of a one-dimensional metastable well.
 
@@ -156,7 +156,7 @@ def bounce_action(potential_profile: Callable[[float], float], mass: float,
     Parameters
     ----------
     potential_profile : callable
-        Potential V(theta), called with one float at a time; must have a
+        Potential V(theta), called with a float or a numpy array; must have a
         local minimum at ``theta_min`` and a finite barrier within
         ``BOUNCE_SEARCH_WIDTH`` beyond it.  Barriers narrower than about
         BOUNCE_SEARCH_WIDTH/4000 would evade the turning-point scan.
@@ -172,12 +172,8 @@ def bounce_action(potential_profile: Callable[[float], float], mass: float,
     if not (mass > 0 and math.isfinite(mass)):
         raise InvalidParameterError(f"mass must be positive, got {mass!r}")
     v_min = float(potential_profile(theta_min))
-
-    def excess(theta: float) -> float:
-        return float(potential_profile(theta)) - v_min
-
     grid = theta_min + np.linspace(0.0, BOUNCE_SEARCH_WIDTH, TURNING_SCAN_POINTS + 1)[1:]
-    vals = np.array([excess(t) for t in grid])
+    vals = potential_profile(grid) - v_min
     top = int(np.argmax(vals))
     if vals[top] <= 0.0:
         raise NoBarrierError("no barrier rises above the well minimum")
@@ -188,18 +184,18 @@ def bounce_action(potential_profile: Callable[[float], float], mass: float,
             f"(searched up to theta_min + {BOUNCE_SEARCH_WIDTH:.6g})")
     k = top + int(crossings[0])
     inner, outer = float(grid[k - 1]), float(grid[k])
-    # bisect down to adjacent doubles, keeping excess(inner) > 0
+    # bisect down to adjacent doubles, keeping V(inner) > v_min
     while inner < (mid := 0.5 * (inner + outer)) < outer:
-        inner, outer = (mid, outer) if excess(mid) > 0.0 else (inner, mid)
+        inner, outer = (mid, outer) if potential_profile(mid) > v_min else (inner, mid)
     span = inner - theta_min
 
     def action(n_nodes: int) -> float:
         x, w = np.polynomial.legendre.leggauss(n_nodes)
         u = 0.5 * (1.0 - x)  # 1 - t, with t = (x + 1) / 2 on [0, 1]
-        root = [math.sqrt(max(2.0 * mass * excess(theta_min + span * (1.0 - v * v)), 0.0))
-                for v in u]
+        excess = potential_profile(theta_min + span * (1.0 - u * u)) - v_min
+        root = np.sqrt(np.maximum(2.0 * mass * excess, 0.0))
         # 2 * (1/2 of the [-1, 1] weights) * sqrt(2 m excess) * dtheta/dt
-        return float(np.sum(w * np.array(root) * 2.0 * span * u))
+        return float(np.sum(w * root * 2.0 * span * u))
 
     coarse, fine = action(BOUNCE_NODES), action(2 * BOUNCE_NODES)
     return BounceResult(action_b=fine, theta_a=theta_min, theta_b=inner,

@@ -143,8 +143,11 @@ def test_window_key_rejected(tmp_path, capsys):
      "missing key 'ein' in [junction]: provide ej1/ej2/ein or ej_over_ec/omega_ratio"),
     ("[junction]\nej1 = 50\nej2 = 50\n", 2,
      "missing key 'ein' in [junction] (direct style needs ej1, ej2, ein)"),
+    ("[junction]\nej_over_ec = 100\n", 2, "missing key 'omega_ratio' in [junction] "
+     "(ratio style needs ej_over_ec and omega_ratio)"),
     (REF_CONFIG + "\n[run]\naxis1 = bias:0.9:0.99:x\n", 6, "axis spec 'bias:0.9:0.99:x': "),
-], ids=["extra-section", "no-junction", "no-style", "direct-no-ein", "axis-count"])
+], ids=["extra-section", "no-junction", "no-style", "direct-no-ein", "ratio-no-omega",
+        "axis-count"])
 def test_config_error_names_its_cause(tmp_path, capsys, text, code, message):
     cfg = write(tmp_path, "bad.cfg", text)
     assert main(["derive", "--config", cfg]) == code
@@ -168,6 +171,20 @@ def test_non_utf8_config_exits_config(tmp_path, capsys, command):
     assert captured.out == ""
     assert captured.err.startswith(f"error: malformed config file {str(path)!r}: ")
     assert "can't decode byte 0xe9" in captured.err
+
+
+def test_config_with_utf8_bom_reads_as_without(tmp_path, capsys):
+    # a UTF-8 byte-order mark is UTF-8; a UTF-16 one is not
+    plain = write(tmp_path, "plain.cfg", REF_CONFIG)
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + REF_CONFIG.encode())
+    assert main(["derive", "--config", plain]) == 0
+    expected = capsys.readouterr()
+    assert main(["derive", "--config", str(bom)]) == 0
+    assert capsys.readouterr() == expected
+    bom.write_bytes(b"\xff\xfe" + REF_CONFIG.encode())
+    assert main(["derive", "--config", str(bom)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: malformed config file {str(bom)!r}: ")
 
 
 @pytest.mark.parametrize("command,what", [("simulate", "path"), ("sweep", "stem")])

@@ -321,6 +321,18 @@ def test_switching_above_critical_bias():
     assert 0.0 < tau < traj.tau[-1]
 
 
+def test_switching_counts_a_backward_slip():
+    # a kick against a small tilt slips theta back by more than 2 pi before
+    # the tilt turns it round; the window is |theta - theta0|, not an advance
+    p = SYMMETRIC.replace(bias=0.1)
+    traj = integrate(PhaseState(0.0, 0.0, -40.0, 0.0), 1e-3, 1000, p)
+    tau = detect_switching(traj)
+    assert tau is not None
+    k = int(np.nonzero(traj.tau == tau)[0][0])
+    assert traj.theta[k] < -dynamics.SWITCH_WINDOW
+    assert np.all(traj.theta[:k + 1] <= 0.0)
+
+
 def test_switching_time_decreases_with_bias():
     taus = []
     for bias in (1.05, 1.1, 1.2, 1.4):

@@ -243,3 +243,17 @@ def test_hessian_matches_finite_differences():
         gt_m, gp_m = potential_gradient(theta, psi - h, p)
         assert hess[0, 1] == pytest.approx((gt_p - gt_m) / (2 * h), rel=1e-6, abs=1e-6)
         assert hess[1, 1] == pytest.approx((gp_p - gp_m) / (2 * h), rel=1e-6, abs=1e-6)
+
+
+def test_hessian_broadcasts_with_pointwise_bits():
+    # a grid gives (2, 2, *shape), each slice the scalar call's bits
+    p = JunctionParams(ej1=70.0, ej2=30.0, ein=80.0, alpha1=0.15, alpha2=0.07,
+                       kappa=-1, bias=0.2)
+    theta = np.linspace(-3.0, 9.0, 101)
+    hess = potential_hessian(theta, 0.3, p)
+    assert hess.shape == (2, 2, 101)
+    for k, t in enumerate(theta):
+        assert np.array_equal(hess[..., k], potential_hessian(float(t), 0.3, p))
+    psi = np.linspace(-1.0, 1.0, 5)[:, None]
+    assert potential_hessian(theta, psi, p).shape == (2, 2, 5, 101)
+    assert potential_hessian(0.3, -0.4, p).shape == (2, 2)

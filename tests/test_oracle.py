@@ -109,7 +109,7 @@ def test_bounce_node_doubling_plateau(monkeypatch):
 
 
 def _washboard(bias):
-    return lambda theta: -100.0 * (math.cos(theta) + bias * theta)
+    return lambda theta: -100.0 * (np.cos(theta) + bias * theta)
 
 
 @pytest.mark.parametrize("case", ["cubic", 0.90, 0.95, 0.98])
@@ -148,7 +148,7 @@ def test_full_washboard_vs_cubic_fit_gap():
     theta0, omega_i, v0 = rate.theta0, rate.omega_p_i, rate.v0
 
     def washboard(theta):
-        return -100.0 * (math.cos(theta) + 0.95 * theta)
+        return -100.0 * (np.cos(theta) + 0.95 * theta)
 
     full = bounce_action(washboard, 0.5, theta0).action_b
     cubic = 36.0 * v0 / (5.0 * omega_i)
