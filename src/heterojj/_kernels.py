@@ -17,53 +17,41 @@ output bit for bit.
 
 import math
 import mmap
-import numbers
 from itertools import chain
 
 from .errors import InvalidParameterError
-from .inputs import channel_weights, lambda_cap
+from .inputs import channel_weights, is_integer, is_number, lambda_cap
 
 # The most steps one run takes: about 40 min of the kernel at ~2.2 us a
 # step, and far beyond any run the commands need
 MAX_STEPS = 10**9
 
 
-def check_state(state) -> None:
-    """Refuse a non-finite (theta, psi, theta_dot, psi_dot, tau), naming
-    the field as :class:`heterojj.dynamics.PhaseState` does."""
-    for name, value in zip(("theta", "psi", "theta_dot", "psi_dot", "tau"), state):
-        if not math.isfinite(value):
-            raise InvalidParameterError(f"PhaseState.{name} must be finite")
-
-
 def rk4_setup(state, dt, n_steps, stride, params) -> tuple:
-    """The arguments of :func:`rk4_step_loop` for a run from ``state``, as
-    :func:`check_state` takes it; ``out`` is last, a new anonymous shared
-    mapping that a forked process can fill.  Raises InvalidParameterError,
-    in this order, for a non-finite state, a dt that is not finite and
-    positive, an ``n_steps`` that is not an integer (a bool is not one) or
-    is below 1, a ``stride`` likewise, a ``dt * stride`` that is not a
-    finite float, a buffer that cannot be allocated and an ``n_steps``
-    above MAX_STEPS."""
-    check_state(state)
-    if not (dt > 0 and math.isfinite(dt)):
+    """The arguments of :func:`rk4_step_loop` for a run from ``state``, a
+    :class:`heterojj.inputs.PhaseState`, which checked itself when it was
+    built; ``out`` is last, a new anonymous shared mapping that a forked
+    process can fill.  Raises InvalidParameterError, in this order, for a
+    dt that is not a finite positive number, an ``n_steps`` that is not an
+    integer (a bool is not one) or is below 1, a ``stride`` likewise, a
+    ``dt * stride`` that is not a finite float, a buffer that cannot be
+    allocated and an ``n_steps`` above MAX_STEPS."""
+    if not (is_number(dt) and dt > 0):
         raise InvalidParameterError(f"dt must be finite and positive, got {dt!r}")
+    dt = float(dt)  # the kernel runs in double precision whatever dt came as
     for name, value in (("n_steps", n_steps), ("stride", stride)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        if not is_integer(value):
             raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise InvalidParameterError(f"{name} must be >= 1, got {value!r}")
-    try:
-        row_dt = dt * stride
-    except OverflowError:  # an int beyond the float range
-        row_dt = math.inf
-    if not math.isfinite(row_dt):
+    if not (is_number(stride) and is_number(dt * float(stride))):
         raise InvalidParameterError(
             "stride is too large: the time between stored rows, dt * stride, "
             "does not fit in a float")
     s, a1, a2, ej_tilt = channel_weights(params)
     try:
-        out = mmap.mmap(-1, 32 * (n_steps // stride + 1))
+        # Python ints, which a numpy integer's product could overflow
+        out = mmap.mmap(-1, 32 * (int(n_steps) // int(stride) + 1))
     except (OSError, OverflowError) as exc:
         raise InvalidParameterError(
             f"n_steps={n_steps!r} at stride={stride!r} needs a trajectory buffer "
@@ -72,9 +60,10 @@ def rk4_setup(state, dt, n_steps, stride, params) -> tuple:
     if n_steps > MAX_STEPS:
         raise InvalidParameterError(
             f"n_steps must be <= MAX_STEPS = {MAX_STEPS}, got {n_steps!r}")
-    return (*state[:4], dt, n_steps, stride, lambda_cap(params), 2.0 * params.ej1,
-            2.0 * params.ej2, 2.0 * ej_tilt * params.bias, params.kappa * 2.0 * s * params.ein,
-            a1, a2, 2.0 * params.alpha1 * params.ej1, 2.0 * params.alpha2 * params.ej2, out)
+    return (state.theta, state.psi, state.theta_dot, state.psi_dot, dt, n_steps, stride,
+            lambda_cap(params), 2.0 * params.ej1, 2.0 * params.ej2, 2.0 * ej_tilt * params.bias,
+            params.kappa * 2.0 * s * params.ein, a1, a2, 2.0 * params.alpha1 * params.ej1,
+            2.0 * params.alpha2 * params.ej2, out)
 
 
 def rk4_step_loop(theta, psi, theta_dot, psi_dot, dt, n_steps, stride,

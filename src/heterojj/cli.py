@@ -28,7 +28,7 @@ from . import __version__
 from .config import RunConfig, default_config, load_config
 from .errors import (ConfigError, InvalidAxisError, InvalidParameterError,
                      NoBarrierError, NoEquilibriumError, NonFiniteStateError)
-from .inputs import AxisSpec
+from .inputs import AxisSpec, PhaseState
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -241,7 +241,7 @@ def _trajectory(cfg: RunConfig, stride: int):
     this process imports numpy.  Without a helper that ran a clean run to
     the end, this process integrates the run itself."""
     from . import _kernels
-    state = (cfg.theta0, cfg.psi0, cfg.theta_dot0, cfg.psi_dot0, 0.0)
+    state = PhaseState(cfg.theta0, cfg.psi0, cfg.theta_dot0, cfg.psi_dot0)
     args = _kernels.rk4_setup(state, cfg.dt, cfg.n_steps, stride, cfg.params)
 
     def integrate():  # into the shared buffer args[-1]
@@ -251,10 +251,9 @@ def _trajectory(cfg: RunConfig, stride: int):
     with _helper(integrate, "numpy" not in sys.modules and _second_cpu()) as done:
         from . import dynamics  # numpy loads here, beside the helper
         if done():
-            return dynamics._trajectory(state[4], cfg.dt, stride, cfg.params, args[-1], -1)
+            return dynamics._trajectory(state.tau, cfg.dt, stride, cfg.params, args[-1], -1)
     # as a library caller does; it sets the run up again, in microseconds
-    return dynamics.integrate(dynamics.PhaseState(*state), cfg.dt, cfg.n_steps, cfg.params,
-                              stride=stride)
+    return dynamics.integrate(state, cfg.dt, cfg.n_steps, cfg.params, stride=stride)
 
 
 def _simulate(cfg: RunConfig, stride: int):

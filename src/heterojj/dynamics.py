@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _EXPORTS, _kernels, model
 from .errors import NoEquilibriumError, NonFiniteStateError
-from .model import JunctionParams
+from .inputs import JunctionParams, PhaseState
 
 __all__ = list(_EXPORTS["dynamics"])
 
@@ -30,20 +30,6 @@ SWITCH_WINDOW = 2.0 * math.pi
 # equilibrium's gradient-norm goal and Newton iteration budget
 EQUILIBRIUM_TOL = 1e-12
 EQUILIBRIUM_MAX_ITER = 200
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """Instantaneous classical state (theta, psi, velocities, time)."""
-
-    theta: float
-    psi: float
-    theta_dot: float
-    psi_dot: float
-    tau: float = 0.0
-
-    def __post_init__(self):
-        _kernels.check_state((self.theta, self.psi, self.theta_dot, self.psi_dot, self.tau))
 
 
 @dataclass(frozen=True)
@@ -70,9 +56,8 @@ class Trajectory:
 
     def state(self, i: int) -> PhaseState:
         """The i-th sample as a :class:`PhaseState`."""
-        return PhaseState(float(self.theta[i]), float(self.psi[i]),
-                          float(self.theta_dot[i]), float(self.psi_dot[i]),
-                          float(self.tau[i]))
+        return PhaseState(self.theta[i], self.psi[i], self.theta_dot[i], self.psi_dot[i],
+                          self.tau[i])
 
     def energy_drift(self) -> float:
         """Largest |energy - energy[0]| over the samples, relative to
@@ -121,7 +106,8 @@ def integrate(initial: PhaseState, dt: float, n_steps: int,
     Raises
     ------
     InvalidParameterError
-        If ``n_steps`` or ``stride`` is not an integer or is below 1,
+        If ``dt`` is not a finite positive number (a bool is not one),
+        ``n_steps`` or ``stride`` is not an integer or is below 1,
         ``stride`` is too large for ``dt * stride`` to be a float, the
         output buffer for ``n_steps // stride + 1`` rows cannot be allocated,
         or ``n_steps`` is above ``heterojj._kernels.MAX_STEPS``.
@@ -129,10 +115,8 @@ def integrate(initial: PhaseState, dt: float, n_steps: int,
         If any step produces a non-finite state or meets an infinite phase
         inside a stage (reports the step index).
     """
-    state = (initial.theta, initial.psi, initial.theta_dot, initial.psi_dot, initial.tau)
-    args = _kernels.rk4_setup(state, dt, n_steps, stride, params)
-    return _trajectory(initial.tau, dt, stride, params, args[-1],
-                       _kernels.rk4_step_loop(*args))
+    args = _kernels.rk4_setup(initial, dt, n_steps, stride, params)
+    return _trajectory(initial.tau, dt, stride, params, args[-1], _kernels.rk4_step_loop(*args))
 
 
 def _trajectory(tau0: float, dt: float, stride: int, params: JunctionParams,

@@ -20,8 +20,13 @@ the formula and its barrier rule, eps >= 0 and 0 < bias < 1 - eps: a
 point outside the rule raises, an array cell outside it is NaN, and
 :func:`sweep_grid` is one call of :func:`enhancement_ratio_ln`.
 
-The formula is semiclassical: it holds for a bounce exponent B >> 1
-(Caldeira & Leggett, Ann. Phys. 149, 374 (1983)).  At fixed bias, with
+The formula is semiclassical: it needs a bounce exponent B >> 1
+(Caldeira & Leggett, Ann. Phys. 149, 374 (1983)), but B >> 1 is not
+sufficient.  The cubic barrier is the leading order of the washboard in
+the distance to the critical tilt, 1 - bias/(1 - eps) << 1, and far from
+the tilt the formula fails at any B.  At E_J/E_C = 100 and bias 0.5 it
+gives ln Gamma = -88.78 where the exact rate is -32.19 (its B is 94.8, the
+washboard's 37.7); at bias 0.9 it is off by +0.045.  At fixed bias, with
 u = (1-eps)^2 - I^2, the prefactor scales as u^(7/8) and the exponent as
 B_eps ~ u^(5/4), so d ln(Gamma/Gamma0)/d eps has the sign of
 (5/4) B_eps - 7/8.  The enhancement therefore grows with eps while
@@ -130,9 +135,12 @@ def escape_rate_ln(params: JunctionParams, eps: float) -> EscapeResult:
     so the bare exponent is never exponentiated (rates at large E_J/E_C
     would overflow a double).  V0 is evaluated as w(I)^2 u / (3 bias^2)
     with u = (1-eps)^2 - bias^2, without re-entering trig functions.  The
-    prefactor scales as u^(7/8) and ``exponent_b`` as u^(5/4); the formula
-    holds for exponent_b >> 1 and is returned as computed outside that
-    domain (an overflow as inf or NaN).
+    prefactor scales as u^(7/8) and ``exponent_b`` as u^(5/4).  The formula
+    needs exponent_b >> 1, but that is not sufficient: it is the leading
+    order in the distance to the critical tilt, 1 - bias/(1 - eps) << 1
+    (at E_J/E_C = 100 and bias 0.5, ln Gamma is -88.78 against an exact
+    -32.19).  It is returned as computed outside that domain (an overflow
+    as inf or NaN).
 
     The barrier rule is eps >= 0 and 0 < bias < 1 - eps: the cubic
     expansion degenerates in the untilted well, and past the tilt (an

@@ -1,7 +1,11 @@
-"""Junction parameters, sweep axes, and the channel weights and Lambda the
-time-stepping kernel needs: the inputs of every command, checked without
-numpy, so that a bad one is refused before numpy loads.  :mod:`heterojj.model`
-and :mod:`heterojj.escape` export these names.
+"""Junction parameters, sweep axes, phase states, and the channel weights and
+Lambda the time-stepping kernel needs: the inputs of every command, checked
+without numpy, so that a bad one is refused before numpy loads.
+:mod:`heterojj.model`, :mod:`heterojj.escape` and :mod:`heterojj.dynamics`
+export these names.
+
+Every numeric input of the package is checked by one rule,
+:func:`is_number`, and every count by :func:`is_integer`.
 """
 
 from __future__ import annotations
@@ -15,10 +19,19 @@ from .errors import InvalidAxisError, InvalidParameterError
 AXIS_NAMES = ("bias", "omega_ratio", "ej_over_ec", "alpha")
 
 
-def _is_real(v) -> bool:
-    """A real number, numpy integer and floating scalars included; a bool is
-    a flag, not a parameter value."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+def is_number(v) -> bool:
+    """Whether ``v`` is a valid number: a real number, numpy scalars
+    included, that is not a bool (a flag, not a value) and whose float value
+    is finite, so an int beyond the float range is not one."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def is_integer(v) -> bool:
+    """Whether ``v`` is an integer, numpy's included; a bool is not one."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -50,16 +63,14 @@ class JunctionParams:
 
     def __post_init__(self):
         for name in ("ej1", "ej2", "ein"):
-            v = getattr(self, name)
-            if not (_is_real(v) and math.isfinite(v) and v > 0):
+            if not (is_number(v := getattr(self, name)) and v > 0):
                 raise InvalidParameterError(f"{name} must be a finite positive energy, got {v!r}")
         for name in ("alpha1", "alpha2"):
-            v = getattr(self, name)
-            if not (_is_real(v) and math.isfinite(v) and v > 0):
+            if not (is_number(v := getattr(self, name)) and v > 0):
                 raise InvalidParameterError(f"{name} must be finite and positive, got {v!r}")
-        if not (_is_real(self.kappa) and self.kappa in (1, -1)):
+        if not (is_number(self.kappa) and self.kappa in (1, -1)):
             raise InvalidParameterError(f"kappa must be +1 or -1 exactly, got {self.kappa!r}")
-        if not (_is_real(self.bias) and math.isfinite(self.bias) and self.bias >= 0):
+        if not (is_number(self.bias) and self.bias >= 0):
             raise InvalidParameterError(f"bias must be finite and >= 0, got {self.bias!r}")
         # numpy scalars (float32 above all) would otherwise carry their own
         # precision into every derived scale
@@ -78,11 +89,14 @@ class JunctionParams:
         frequency ratio omega_P/omega_JL, from which the inter-band coupling
         is solved.
         """
-        # alpha1 + alpha2 divides below, so the alphas are checked here too
-        for name, v in (("ej_over_ec", ej_over_ec), ("omega_ratio", omega_ratio),
-                        ("j_ratio", j_ratio), ("alpha1", alpha1), ("alpha2", alpha2)):
-            if not (_is_real(v) and math.isfinite(v) and v > 0):
+        # alpha1 + alpha2 divides below, so the alphas are checked here too;
+        # all five are then taken as floats, so the arithmetic below is in
+        # double precision whatever numeric type they came as
+        values = (ej_over_ec, omega_ratio, j_ratio, alpha1, alpha2)
+        for name, v in zip(("ej_over_ec", "omega_ratio", "j_ratio", "alpha1", "alpha2"), values):
+            if not (is_number(v) and v > 0):
                 raise InvalidParameterError(f"{name} must be a positive real number, got {v!r}")
+        ej_over_ec, omega_ratio, j_ratio, alpha1, alpha2 = map(float, values)
         ej1 = ej_over_ec * j_ratio / (1.0 + j_ratio)
         ej2 = ej_over_ec / (1.0 + j_ratio)
         # omega_JL = omega_P / ratio with omega_P^2 = 2(ej1+ej2)
@@ -131,21 +145,41 @@ class AxisSpec:
         if self.name not in AXIS_NAMES:
             raise InvalidAxisError(
                 f"unknown axis name {self.name!r}; expected one of {AXIS_NAMES}")
-        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
+        if not is_integer(self.count):
             raise InvalidAxisError(
                 f"axis {self.name!r} count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise InvalidAxisError(f"axis {self.name!r} needs count >= 2, got {self.count}")
         # stop - start is what np.linspace steps by: it must not overflow
-        if not math.isfinite(self.stop - self.start):
+        if not (is_number(self.start) and is_number(self.stop)
+                and is_number(float(self.stop) - float(self.start))):
             raise InvalidAxisError(
                 f"axis {self.name!r} range and its span must be finite: "
                 f"[{self.start}, {self.stop}]")
-        if not (self.start < self.stop):
+        # as floats: numpy compares a float and a float32 in float32, which can overflow
+        if not (float(self.start) < float(self.stop)):
             raise InvalidAxisError(
                 f"axis {self.name!r} range is inverted or empty: "
                 f"[{self.start}, {self.stop}]")
 
     def values(self):
         import numpy as np  # the only numpy use of this module
-        return np.linspace(self.start, self.stop, self.count)
+        return np.linspace(float(self.start), float(self.stop), self.count)
+
+
+@dataclass(frozen=True)
+class PhaseState:
+    """Instantaneous classical state (theta, psi, velocities, time), each
+    held as a float."""
+
+    theta: float
+    psi: float
+    theta_dot: float
+    psi_dot: float
+    tau: float = 0.0
+
+    def __post_init__(self):
+        for name in ("theta", "psi", "theta_dot", "psi_dot", "tau"):
+            if not is_number(v := getattr(self, name)):
+                raise InvalidParameterError(f"PhaseState.{name} must be finite")
+            object.__setattr__(self, name, float(v))

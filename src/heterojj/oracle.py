@@ -19,6 +19,7 @@ import numpy as np
 
 from . import _EXPORTS, escape
 from .errors import ConvergenceError, InvalidParameterError, NoBarrierError
+from .inputs import is_number
 from .model import JunctionParams, derive
 
 __all__ = list(_EXPORTS["oracle"])
@@ -165,12 +166,18 @@ def bounce_action(potential_profile: Callable, mass: float,
 
     Raises
     ------
+    InvalidParameterError
+        If ``mass`` is not a positive number or ``theta_min`` is not a
+        number, by the rule of :func:`heterojj.inputs.is_number`.
     NoBarrierError
         If no barrier rises above the minimum, or the potential never
         returns to the minimum level within one washboard period.
     """
-    if not (mass > 0 and math.isfinite(mass)):
+    if not (is_number(mass) and mass > 0):
         raise InvalidParameterError(f"mass must be positive, got {mass!r}")
+    if not is_number(theta_min):
+        raise InvalidParameterError(f"theta_min must be finite, got {theta_min!r}")
+    theta_min = float(theta_min)  # what the profile is called with: a float
     v_min = float(potential_profile(theta_min))
     grid = theta_min + np.linspace(0.0, BOUNCE_SEARCH_WIDTH, TURNING_SCAN_POINTS + 1)[1:]
     vals = potential_profile(grid) - v_min

@@ -1,0 +1,154 @@
+"""Property test: every input of the library ends in a value or in the
+package's own error.
+
+Each field of ``JunctionParams``, ``PhaseState`` and ``AxisSpec``, each
+argument of ``JunctionParams.from_ratios``, ``integrate``'s ``dt``,
+``n_steps`` and ``stride`` and ``bounce_action``'s ``mass`` and
+``theta_min`` is drawn from ints beyond the float range, Python and numpy
+bools, strings, None, NaN, infinities, 0, negative numbers, subnormals,
+any finite double and numpy ``float32`` and ``int64`` scalars.  A call must
+return or raise a :class:`heterojj.errors.HeterojjError` subclass: no
+``OverflowError`` or ``TypeError`` escapes, and no RuntimeWarning either
+(the suite runs with RuntimeWarning as an error).  A valid ``n_steps`` is at
+most 10, so that the runs stay short; an invalid one may also be above
+``MAX_STEPS`` or beyond the float range.  ``bounce_action`` runs on a tilted
+washboard, which itself overflows beyond |theta| ~ 1e306, so the finite
+doubles drawn for ``theta_min`` stay within |theta_min| <= 1e300.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from heterojj import (AxisSpec, JunctionParams, PhaseState, bounce_action,
+                      integrate)
+from heterojj._kernels import MAX_STEPS
+from heterojj.errors import HeterojjError, InvalidParameterError
+from heterojj.inputs import AXIS_NAMES
+
+BEYOND_FLOATS = (st.integers(10**309, 10**400)
+                 | st.integers(-10**400, -10**309))
+NOT_NUMBERS = st.one_of(
+    BEYOND_FLOATS,
+    st.booleans(),
+    st.sampled_from([np.True_, np.False_, None, math.nan, math.inf, -math.inf]),
+    st.text(max_size=3),
+)
+NUMBERS = st.one_of(
+    st.sampled_from([0, 0.0, -1, -1.0, 5e-324, -5e-324, 2.2e-308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(-1000, 1000),
+)
+ANY = NOT_NUMBERS | NUMBERS
+# kappa is +1 or -1 only, so those are drawn often enough to get past it
+KAPPAS = ANY | st.sampled_from([1, -1, 1.0, np.int64(-1)])
+# n_steps is never an integer in [11, MAX_STEPS], so that no run is long
+N_STEPS = st.one_of(
+    NOT_NUMBERS,
+    st.floats(),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2, 10),
+    st.integers(-2, 10).map(np.int64),
+    st.integers(MAX_STEPS + 1, 10**400),
+    st.integers(MAX_STEPS + 1, 2**63 - 1).map(np.int64),
+)
+STRIDES = (ANY | st.integers(-2, 20) | st.integers(1, 10**400)
+           | st.integers(1, 2**63 - 1).map(np.int64))
+
+REFERENCE = JunctionParams.from_ratios(100.0, 2.0, bias=0.95)
+START = PhaseState(0.1, 0.0, 0.0, 0.0)
+
+
+def washboard(theta):
+    return -100.0 * (np.cos(theta) + 0.95 * theta)
+
+
+def returns_or_refuses(call, *args, **kwargs):
+    """Call and swallow only the package's own errors."""
+    try:
+        call(*args, **kwargs)
+    except HeterojjError:
+        pass
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ej1=ANY, ej2=ANY, ein=ANY, alpha1=ANY, alpha2=ANY, kappa=KAPPAS, bias=ANY)
+@example(ej1=10**400, ej2=1, ein=1, alpha1=0.1, alpha2=0.1, kappa=1, bias=0.0)
+@example(ej1=1, ej2=1, ein=1, alpha1=0.1, alpha2=0.1, kappa=1, bias=-10**400)
+def test_junction_params(ej1, ej2, ein, alpha1, alpha2, kappa, bias):
+    returns_or_refuses(JunctionParams, ej1, ej2, ein, alpha1, alpha2, kappa, bias)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ej_over_ec=ANY, omega_ratio=ANY, j_ratio=ANY, alpha1=ANY, alpha2=ANY,
+       kappa=KAPPAS, bias=ANY)
+@example(ej_over_ec=100, omega_ratio=10**400, j_ratio=1, alpha1=0.1, alpha2=0.1,
+         kappa=1, bias=0.5)
+@example(ej_over_ec=np.int64(2**62), omega_ratio=np.int64(1), j_ratio=np.int64(2**62),
+         alpha1=np.int64(1), alpha2=np.int64(1), kappa=1, bias=0.5)
+def test_from_ratios(ej_over_ec, omega_ratio, j_ratio, alpha1, alpha2, kappa, bias):
+    returns_or_refuses(JunctionParams.from_ratios, ej_over_ec, omega_ratio, j_ratio,
+                       alpha1, alpha2, kappa, bias)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(theta=ANY, psi=ANY, theta_dot=ANY, psi_dot=ANY, tau=ANY)
+@example(theta=10**400, psi=0, theta_dot=0, psi_dot=0, tau=0)
+@example(theta="x", psi=0, theta_dot=0, psi_dot=0, tau=0)
+def test_phase_state(theta, psi, theta_dot, psi_dot, tau):
+    returns_or_refuses(PhaseState, theta, psi, theta_dot, psi_dot, tau)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=ANY | st.sampled_from(AXIS_NAMES), start=ANY, stop=ANY,
+       count=ANY | st.integers(-2, 10) | BEYOND_FLOATS)
+@example(name="bias", start=0, stop=10**400, count=5)
+@example(name="bias", start="a", stop="b", count=5)
+@example(name="bias", start=np.int64(-2**63), stop=np.int64(2**63 - 1), count=5)
+@example(name="bias", start=3.4028235677973366e+38, stop=np.float32(0.0), count=5)
+def test_axis_spec(name, start, stop, count):
+    returns_or_refuses(AxisSpec, name, start, stop, count)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dt=ANY, n_steps=N_STEPS, stride=STRIDES)
+@example(dt=10**400, n_steps=10, stride=1)
+@example(dt=np.float32(3e38), n_steps=10, stride=7)
+@example(dt=1e-3, n_steps=np.int64(2**62), stride=1)
+@example(dt=1e308, n_steps=10, stride=np.int64(10))
+def test_integrate_arguments(dt, n_steps, stride):
+    returns_or_refuses(integrate, START, dt, n_steps, REFERENCE, stride=stride)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mass=ANY | st.just(0.5),
+       theta_min=(NOT_NUMBERS | st.floats(-1e300, 1e300) | st.floats(width=32).map(np.float32)
+                  | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.integers(-10**300, 10**300)
+                  | st.just(math.asin(0.95))))
+@example(mass=True, theta_min=math.asin(0.95))
+@example(mass=0.5, theta_min=10**400)
+@example(mass=1e308, theta_min=math.asin(0.95))
+@example(mass=0.5, theta_min=10**20)
+def test_bounce_action_arguments(mass, theta_min):
+    returns_or_refuses(bounce_action, washboard, mass, theta_min)
+
+
+def test_phase_state_is_an_input_held_as_floats():
+    import heterojj
+    from heterojj import _kernels, dynamics
+
+    assert PhaseState.__module__ == "heterojj.inputs"
+    assert heterojj.PhaseState is dynamics.PhaseState
+    assert not hasattr(_kernels, "check_state")
+    state = PhaseState(np.float32(0.1), np.int64(2), 0, 1, tau=np.float64(0.5))
+    assert all(type(v) is float for v in (state.theta, state.psi, state.theta_dot,
+                                          state.psi_dot, state.tau))
+    assert state.theta == float(np.float32(0.1)) and state.psi == 2.0
+    for flag in (True, np.False_):
+        with pytest.raises(InvalidParameterError, match="^PhaseState.psi must be finite$"):
+            PhaseState(0.0, flag, 0.0, 0.0)
