@@ -20,7 +20,7 @@ import mmap
 from itertools import chain
 
 from .errors import InvalidParameterError
-from .inputs import channel_weights, is_integer, is_number, lambda_cap
+from .inputs import channel_weights, is_integer, is_number, lambda_cap, shown
 
 # The most steps one run takes: about 40 min of the kernel at ~2.2 us a
 # step, and far beyond any run the commands need
@@ -37,13 +37,13 @@ def rk4_setup(state, dt, n_steps, stride, params) -> tuple:
     ``dt * stride`` that is not a finite float, a buffer that cannot be
     allocated and an ``n_steps`` above MAX_STEPS."""
     if not (is_number(dt) and dt > 0):
-        raise InvalidParameterError(f"dt must be finite and positive, got {dt!r}")
+        raise InvalidParameterError(f"dt must be finite and positive, got {shown(dt)}")
     dt = float(dt)  # the kernel runs in double precision whatever dt came as
     for name, value in (("n_steps", n_steps), ("stride", stride)):
         if not is_integer(value):
-            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+            raise InvalidParameterError(f"{name} must be an integer, got {shown(value)}")
         if value < 1:
-            raise InvalidParameterError(f"{name} must be >= 1, got {value!r}")
+            raise InvalidParameterError(f"{name} must be >= 1, got {shown(value)}")
     if not (is_number(stride) and is_number(dt * float(stride))):
         raise InvalidParameterError(
             "stride is too large: the time between stored rows, dt * stride, "
@@ -54,12 +54,12 @@ def rk4_setup(state, dt, n_steps, stride, params) -> tuple:
         out = mmap.mmap(-1, 32 * (int(n_steps) // int(stride) + 1))
     except (OSError, OverflowError) as exc:
         raise InvalidParameterError(
-            f"n_steps={n_steps!r} at stride={stride!r} needs a trajectory buffer "
+            f"n_steps={shown(n_steps)} at stride={shown(stride)} needs a trajectory buffer "
             f"that cannot be allocated ({exc})") from exc
     # checked after the buffer: a run whose rows cannot be stored is refused for that
     if n_steps > MAX_STEPS:
         raise InvalidParameterError(
-            f"n_steps must be <= MAX_STEPS = {MAX_STEPS}, got {n_steps!r}")
+            f"n_steps must be <= MAX_STEPS = {MAX_STEPS}, got {shown(n_steps)}")
     return (state.theta, state.psi, state.theta_dot, state.psi_dot, dt, n_steps, stride,
             lambda_cap(params), 2.0 * params.ej1, 2.0 * params.ej2, 2.0 * ej_tilt * params.bias,
             params.kappa * 2.0 * s * params.ein, a1, a2, 2.0 * params.alpha1 * params.ej1,

@@ -9,7 +9,8 @@ Exit codes: 0 ok, 1 verification failure, 2 config/usage parse error,
 5 no barrier / no equilibrium, 6 invalid sweep axis.
 
 Importing this module loads no numpy: each command imports what it runs
-once its input has been read and checked.
+once its input has been read and checked.  ``derive`` and ``escape``
+never load it: they evaluate their point on Python floats.
 """
 
 from __future__ import annotations

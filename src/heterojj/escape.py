@@ -40,13 +40,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _EXPORTS
 from .errors import InvalidAxisError, InvalidParameterError, NoBarrierError
-from .inputs import AxisSpec, JunctionParams
-from .model import channel_weights, derive, record
+from .inputs import AxisSpec, JunctionParams, shown
+from .model import channel_weights, derive, ops
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = list(_EXPORTS["escape"])
 
@@ -110,18 +112,17 @@ def epsilon(params: JunctionParams) -> FluctuationRenorm:
     Broadcasts like :func:`heterojj.model.derive`: array fields give array
     fields, a :class:`JunctionParams` gives Python floats and bools.
     """
+    xp = ops(params)
     scales = derive(params)
     s = channel_weights(params)[0]
-    with np.errstate(all="ignore"):
-        # np.divide, not /: an omega_JL that underflows to 0 gives inf here
-        # instead of a ZeroDivisionError from Python floats
-        var = np.divide(s, scales.omega_jl)
+    with xp.errstate(all="ignore"):
+        # divide, not /: an omega_JL that underflows to 0 gives inf here,
+        # for a point as for an array, not a ZeroDivisionError
+        var = xp.divide(s, scales.omega_jl)
         eps = scales.g_plus * var
         eps_ratio = (scales.g_plus / math.sqrt(2.0)) * s \
-            * np.divide(scales.omega_p, scales.omega_jl) * np.sqrt(1.0 / scales.ej_sum)
-    return record(FluctuationRenorm, psi_variance=var, epsilon=eps,
-                  epsilon_from_ratio=eps_ratio, epsilon_valid=eps < 1.0,
-                  epsilon_strained=eps > EPSILON_STRAIN_THRESHOLD)
+            * xp.divide(scales.omega_p, scales.omega_jl) * xp.sqrt(1.0 / scales.ej_sum)
+    return FluctuationRenorm(var, eps, eps_ratio, eps < 1.0, eps > EPSILON_STRAIN_THRESHOLD)
 
 
 def escape_rate_ln(params: JunctionParams, eps: float) -> EscapeResult:
@@ -149,10 +150,11 @@ def escape_rate_ln(params: JunctionParams, eps: float) -> EscapeResult:
     tilt.  Any other object with the same fields broadcasts as
     :func:`heterojj.model.derive` does, NaN in the cells outside the rule.
     """
+    xp = ops(params)
     bias = params.bias
     if isinstance(params, JunctionParams):
         if not eps >= 0.0:  # a NaN fails this too
-            raise InvalidParameterError(f"eps must satisfy eps >= 0, got {eps!r}")
+            raise InvalidParameterError(f"eps must satisfy eps >= 0, got {shown(eps)}")
         if bias <= 0.0:
             raise InvalidParameterError(
                 "the cubic-barrier chain requires bias > 0 (the untilted well has no "
@@ -161,24 +163,24 @@ def escape_rate_ln(params: JunctionParams, eps: float) -> EscapeResult:
             raise NoBarrierError(
                 f"no barrier: bias={bias} >= 1 - eps = {1.0 - eps} "
                 "(classical running state)")
-    else:
-        # a cell outside the rule is NaN: past the tilt u < 0, whose fourth
-        # root would be complex for a Python float bias
-        bias = np.where((eps >= 0.0) & (bias > 0.0) & (bias < 1.0 - eps), bias, np.nan)
-    theta0 = np.arcsin(bias / (1.0 - eps))
+    # an array cell outside the rule is NaN: past the tilt u < 0, whose
+    # fourth root would be complex for a Python float
+    bias = xp.where((eps >= 0.0) & (bias > 0.0) & (bias < 1.0 - eps), bias, xp.nan)
+    theta0 = xp.arcsin(bias / (1.0 - eps))
     # factored form of (1-eps)^2 - bias^2: no cancellation near critical tilt
     u = (1.0 - eps - bias) * (1.0 - eps + bias)
     omega_p_i = derive(params).omega_p * u ** 0.25
-    with np.errstate(all="ignore"):
-        # np.divide, not /: a bias whose square underflows to 0 gives inf
-        # here instead of a ZeroDivisionError from Python floats
-        v0 = np.divide(omega_p_i * omega_p_i * u, 3.0 * bias * bias)
+    with xp.errstate(all="ignore"):
+        # divide and log, not / and math.log: a bias whose square underflows
+        # to 0 gives an infinite v0, and an omega_p_i whose square does a
+        # zero v0 and a log of -inf, for a point as for an array, not a
+        # ZeroDivisionError or ValueError
+        v0 = xp.divide(omega_p_i * omega_p_i * u, 3.0 * bias * bias)
         exponent_b = 36.0 * v0 / (5.0 * omega_p_i)
-        ln_prefactor = (math.log(12.0) + np.log(omega_p_i)
-                        + 0.5 * np.log(3.0 * v0 / (2.0 * math.pi * omega_p_i)))
-        return record(EscapeResult, theta0=theta0, omega_p_i=omega_p_i, v0=v0,
-                      exponent_b=exponent_b, ln_prefactor=ln_prefactor,
-                      ln_gamma=ln_prefactor - exponent_b)
+        ln_prefactor = (math.log(12.0) + xp.log(omega_p_i)
+                        + 0.5 * xp.log(3.0 * v0 / (2.0 * math.pi * omega_p_i)))
+        return EscapeResult(theta0=theta0, omega_p_i=omega_p_i, v0=v0, exponent_b=exponent_b,
+                            ln_prefactor=ln_prefactor, ln_gamma=ln_prefactor - exponent_b)
 
 
 def enhancement_ratio_ln(params: JunctionParams) -> float:
@@ -213,6 +215,7 @@ def sweep_grid(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec) -> SweepG
     """
     if axis1.name == axis2.name:
         raise InvalidAxisError(f"axes must differ, both are {axis1.name!r}")
+    import numpy as np
     try:
         if axis1.count * axis2.count > np.iinfo(np.intp).max // 8:
             # numpy refuses such an array with a ValueError, not a MemoryError
@@ -228,6 +231,7 @@ def sweep_grid(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec) -> SweepG
 def _sweep_cells(base: JunctionParams, axis1: AxisSpec,
                  axis2: AxisSpec) -> tuple[np.ndarray, np.ndarray]:
     """The ``values`` and ``valid`` arrays of :func:`sweep_grid`."""
+    import numpy as np
     axes = {axis1.name: axis1.values()[:, None], axis2.name: axis2.values()[None, :]}
     cell = SimpleNamespace(ej1=base.ej1, ej2=base.ej2, ein=base.ein,
                            alpha1=base.alpha1, alpha2=base.alpha2, kappa=base.kappa,

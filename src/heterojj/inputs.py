@@ -5,7 +5,8 @@ without numpy, so that a bad one is refused before numpy loads.
 export these names.
 
 Every numeric input of the package is checked by one rule,
-:func:`is_number`, and every count by :func:`is_integer`.
+:func:`is_number`, and every count by :func:`is_integer`; a refused value
+is shown in its error message by :func:`shown`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,16 @@ def is_number(v) -> bool:
 def is_integer(v) -> bool:
     """Whether ``v`` is an integer, numpy's included; a bool is not one."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def shown(v, form=repr) -> str:
+    """``form(v)``, ``repr`` by default, for an error message; it does not
+    fail where ``repr`` and ``str`` refuse an int past Python's limit on
+    int-to-str digits, but shows such an int by its size."""
+    try:
+        return form(v)
+    except ValueError:  # the digit limit
+        return f"an int of {v.bit_length()} bits"
 
 
 @dataclass(frozen=True)
@@ -64,14 +75,15 @@ class JunctionParams:
     def __post_init__(self):
         for name in ("ej1", "ej2", "ein"):
             if not (is_number(v := getattr(self, name)) and v > 0):
-                raise InvalidParameterError(f"{name} must be a finite positive energy, got {v!r}")
+                raise InvalidParameterError(
+                    f"{name} must be a finite positive energy, got {shown(v)}")
         for name in ("alpha1", "alpha2"):
             if not (is_number(v := getattr(self, name)) and v > 0):
-                raise InvalidParameterError(f"{name} must be finite and positive, got {v!r}")
+                raise InvalidParameterError(f"{name} must be finite and positive, got {shown(v)}")
         if not (is_number(self.kappa) and self.kappa in (1, -1)):
-            raise InvalidParameterError(f"kappa must be +1 or -1 exactly, got {self.kappa!r}")
+            raise InvalidParameterError(f"kappa must be +1 or -1 exactly, got {shown(self.kappa)}")
         if not (is_number(self.bias) and self.bias >= 0):
-            raise InvalidParameterError(f"bias must be finite and >= 0, got {self.bias!r}")
+            raise InvalidParameterError(f"bias must be finite and >= 0, got {shown(self.bias)}")
         # numpy scalars (float32 above all) would otherwise carry their own
         # precision into every derived scale
         for name in ("ej1", "ej2", "ein", "alpha1", "alpha2", "bias"):
@@ -95,7 +107,8 @@ class JunctionParams:
         values = (ej_over_ec, omega_ratio, j_ratio, alpha1, alpha2)
         for name, v in zip(("ej_over_ec", "omega_ratio", "j_ratio", "alpha1", "alpha2"), values):
             if not (is_number(v) and v > 0):
-                raise InvalidParameterError(f"{name} must be a positive real number, got {v!r}")
+                raise InvalidParameterError(
+                    f"{name} must be a positive real number, got {shown(v)}")
         ej_over_ec, omega_ratio, j_ratio, alpha1, alpha2 = map(float, values)
         ej1 = ej_over_ec * j_ratio / (1.0 + j_ratio)
         ej2 = ej_over_ec / (1.0 + j_ratio)
@@ -144,23 +157,24 @@ class AxisSpec:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise InvalidAxisError(
-                f"unknown axis name {self.name!r}; expected one of {AXIS_NAMES}")
+                f"unknown axis name {shown(self.name)}; expected one of {AXIS_NAMES}")
         if not is_integer(self.count):
             raise InvalidAxisError(
-                f"axis {self.name!r} count must be an integer, got {self.count!r}")
+                f"axis {self.name!r} count must be an integer, got {shown(self.count)}")
         if self.count < 2:
-            raise InvalidAxisError(f"axis {self.name!r} needs count >= 2, got {self.count}")
+            raise InvalidAxisError(
+                f"axis {self.name!r} needs count >= 2, got {shown(self.count, str)}")
         # stop - start is what np.linspace steps by: it must not overflow
         if not (is_number(self.start) and is_number(self.stop)
                 and is_number(float(self.stop) - float(self.start))):
             raise InvalidAxisError(
                 f"axis {self.name!r} range and its span must be finite: "
-                f"[{self.start}, {self.stop}]")
+                f"[{shown(self.start, str)}, {shown(self.stop, str)}]")
         # as floats: numpy compares a float and a float32 in float32, which can overflow
         if not (float(self.start) < float(self.stop)):
             raise InvalidAxisError(
                 f"axis {self.name!r} range is inverted or empty: "
-                f"[{self.start}, {self.stop}]")
+                f"[{shown(self.start, str)}, {shown(self.stop, str)}]")
 
     def values(self):
         import numpy as np  # the only numpy use of this module

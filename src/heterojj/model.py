@@ -1,6 +1,9 @@
 """Junction parameters, derived scales, and the exact two-phase potential.
 
 The junction parameters are defined, without numpy, in :mod:`heterojj.inputs`.
+The derived scales of a :class:`JunctionParams` are computed on Python
+floats with :mod:`math`, and only array fields and the potential functions
+import numpy.
 
 Reduced units are used throughout the package: hbar = 1 and the charging
 energy E_C = 1, so energies are in units of E_C, frequencies in E_C/hbar,
@@ -14,12 +17,17 @@ average that couples to voltage and bias) and the relative phase ``psi``
 
 from __future__ import annotations
 
+import math
+from contextlib import nullcontext
 from dataclasses import dataclass
-
-import numpy as np
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import _EXPORTS
 from .inputs import JunctionParams, channel_weights, lambda_cap
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = list(_EXPORTS["model"])
 
@@ -46,6 +54,23 @@ class DerivedScales:
     g_minus: float
 
 
+# The numpy functions the closed forms call, on Python floats: a point
+# evaluates without numpy, and where Python raises it gives numpy's answer
+# (log 0 = -inf; x / 0 = inf of x's sign times 0's, NaN for 0 / 0), so a
+# non-finite result is refused by its field as for an array.
+_POINT_OPS = SimpleNamespace(
+    sqrt=math.sqrt, arcsin=math.asin, nan=math.nan, where=lambda c, x, y: x if c else y,
+    log=lambda x: math.log(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan,
+    divide=lambda a, b: a / b if b else a * math.copysign(math.inf, b),
+    errstate=lambda **_: nullcontext())
+
+
+def ops(params: JunctionParams):
+    """The functions a closed form evaluates ``params`` with: math on the
+    Python floats of a :class:`JunctionParams`, numpy on array fields."""
+    return _POINT_OPS if isinstance(params, JunctionParams) else __import__("numpy")
+
+
 def derive(params: JunctionParams) -> DerivedScales:
     """Compute all derived scales for a parameter set.
 
@@ -61,35 +86,27 @@ def derive(params: JunctionParams) -> DerivedScales:
     ``params`` may also be any object with the same fields holding
     broadcastable numpy arrays (as :func:`heterojj.escape.sweep_grid` builds
     them); every scale is then an array.  A :class:`JunctionParams` gives
-    Python floats.
+    Python floats, computed without numpy.
     """
+    xp = ops(params)
     s, a1, a2, ej_tilt = channel_weights(params)
     ej_sum = params.ej1 + params.ej2
     # halved last: 2 * ej_sum would overflow for ej_sum above ~9e307
     g_plus = 0.5 * ((params.ej1 / ej_sum) * a1 * a1 + (params.ej2 / ej_sum) * a2 * a2)
     g_minus = (params.ej1 / ej_sum) * a1 - (params.ej2 / ej_sum) * a2
-    return record(
-        DerivedScales,
+    return DerivedScales(
         lambda_cap=lambda_cap(params),
         ej_sum=ej_sum,
         ej_tilt=ej_tilt,
-        omega_p=np.sqrt(2.0 * ej_sum),
-        omega_p1=np.sqrt(2.0 * params.ej1),
-        omega_p2=np.sqrt(2.0 * params.ej2),
-        omega_jl=np.sqrt(2.0 * s * params.ein),
+        omega_p=xp.sqrt(2.0 * ej_sum),
+        omega_p1=xp.sqrt(2.0 * params.ej1),
+        omega_p2=xp.sqrt(2.0 * params.ej2),
+        omega_jl=xp.sqrt(2.0 * s * params.ein),
         m_cm=0.5,
         m_rlt=1.0 / (2.0 * s),
         g_plus=g_plus,
         g_minus=g_minus,
     )
-
-
-def record(cls, **fields):
-    """Build the result dataclass ``cls``, turning numpy scalars into Python
-    ``float``/``bool`` so that point results serialize like plain numbers;
-    arrays pass through unchanged."""
-    return cls(**{k: v.item() if isinstance(v, np.generic) else v
-                  for k, v in fields.items()})
 
 
 def split_phases(theta, psi, params: JunctionParams):
@@ -107,6 +124,7 @@ def potential(theta, psi, params: JunctionParams):
     Accepts scalars or numpy arrays (broadcasting).  Angles are never
     wrapped; theta may grow without bound.
     """
+    import numpy as np
     theta1, theta2 = split_phases(theta, psi, params)
     ej_tilt = channel_weights(params)[3]
     return (-params.ej1 * np.cos(theta1)
@@ -117,6 +135,7 @@ def potential(theta, psi, params: JunctionParams):
 
 def potential_gradient(theta, psi, params: JunctionParams):
     """Analytic partials (dV/dtheta, dV/dpsi) of :func:`potential`."""
+    import numpy as np
     _, a1, a2, ej_tilt = channel_weights(params)
     s1 = np.sin(theta + a1 * psi)
     s2 = np.sin(theta - a2 * psi)
@@ -127,6 +146,7 @@ def potential_gradient(theta, psi, params: JunctionParams):
 
 def potential_hessian(theta, psi, params: JunctionParams) -> np.ndarray:
     """Analytic Hessian of :func:`potential`: 2x2 at a point, (2, 2, *shape) on arrays."""
+    import numpy as np
     _, a1, a2, _ = channel_weights(params)
     c1 = np.cos(theta + a1 * psi)
     c2 = np.cos(theta - a2 * psi)

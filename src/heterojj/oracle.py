@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _EXPORTS, escape
 from .errors import ConvergenceError, InvalidParameterError, NoBarrierError
-from .inputs import is_number
+from .inputs import is_number, shown
 from .model import JunctionParams, derive
 
 __all__ = list(_EXPORTS["oracle"])
@@ -172,11 +172,14 @@ def bounce_action(potential_profile: Callable, mass: float,
     NoBarrierError
         If no barrier rises above the minimum, or the potential never
         returns to the minimum level within one washboard period.
+    ConvergenceError
+        If the action or its quadrature error is not finite: for one, where
+        2 m [V(theta) - V(theta_min)] overflows at a huge mass.
     """
     if not (is_number(mass) and mass > 0):
-        raise InvalidParameterError(f"mass must be positive, got {mass!r}")
+        raise InvalidParameterError(f"mass must be positive, got {shown(mass)}")
     if not is_number(theta_min):
-        raise InvalidParameterError(f"theta_min must be finite, got {theta_min!r}")
+        raise InvalidParameterError(f"theta_min must be finite, got {shown(theta_min)}")
     theta_min = float(theta_min)  # what the profile is called with: a float
     v_min = float(potential_profile(theta_min))
     grid = theta_min + np.linspace(0.0, BOUNCE_SEARCH_WIDTH, TURNING_SCAN_POINTS + 1)[1:]
@@ -200,11 +203,14 @@ def bounce_action(potential_profile: Callable, mass: float,
         x, w = np.polynomial.legendre.leggauss(n_nodes)
         u = 0.5 * (1.0 - x)  # 1 - t, with t = (x + 1) / 2 on [0, 1]
         excess = potential_profile(theta_min + span * (1.0 - u * u)) - v_min
-        root = np.sqrt(np.maximum(2.0 * mass * excess, 0.0))
+        with np.errstate(over="ignore"):  # an infinite action is refused below
+            root = np.sqrt(np.maximum(2.0 * mass * excess, 0.0))
         # 2 * (1/2 of the [-1, 1] weights) * sqrt(2 m excess) * dtheta/dt
         return float(np.sum(w * root * 2.0 * span * u))
 
     coarse, fine = action(BOUNCE_NODES), action(2 * BOUNCE_NODES)
+    if not math.isfinite(fine - coarse):  # both actions are >= 0
+        raise ConvergenceError(f"bounce action {fine!r} or its quadrature error is not finite")
     return BounceResult(action_b=fine, theta_a=theta_min, theta_b=inner,
                         quad_error=abs(fine - coarse))
 

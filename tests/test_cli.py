@@ -1067,6 +1067,29 @@ def test_front_end_refuses_bad_input_without_numpy(tmp_path):
     assert result == {"codes": [code for _, code in cases], "numpy": False}
 
 
+# Runs in a fresh interpreter, as SCIPY_PROBE does: derive and escape
+# evaluate a point on Python floats, so no exit path of theirs loads numpy.
+POINT_PROBE = r"""
+import json, sys
+from heterojj.cli import main
+runs = [[main(argv), "numpy" in sys.modules] for argv in json.loads(sys.argv[1])]
+sys.stdout.write("\n" + json.dumps(runs) + "\n")
+"""
+
+
+def test_derive_and_escape_never_load_numpy(tmp_path):
+    golden = Path(__file__).resolve().parent / "data" / "golden"
+    past_tilt = write(tmp_path, "past-tilt.cfg", REF_CONFIG.replace("0.95", "0.999"))
+    cases = [(["derive"], 0), (["derive", "--json"], 0), (["escape"], 0),
+             (["escape", "--json"], 0), (["escape", "--config", past_tilt], 5),
+             (["derive", "--config", str(golden / "overflow.cfg")], 4)]
+    proc = subprocess.run([sys.executable, "-c", POINT_PROBE,
+                           json.dumps([argv for argv, _ in cases])],
+                          env=process_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[code, False] for _, code in cases]
+
+
 def test_verify_passes_where_scipy_cannot_be_imported():
     codes, loaded, _ = loaded_after([["verify"]], 'sys.modules["scipy"] = None')
     assert codes == [0]

@@ -1,8 +1,13 @@
 import itertools
 import math
+import struct
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heterojj import (AxisSpec, InvalidAxisError, InvalidParameterError,
                       JunctionParams, NoBarrierError, derive, enhancement_ratio_ln,
@@ -374,3 +379,61 @@ def test_sweep_deterministic():
     g2 = sweep_grid(REF_POINT, a1, a2)
     assert np.array_equal(g1.values, g2.values, equal_nan=True)
     assert np.array_equal(g1.valid, g2.valid)
+
+
+# ------------------------------------------- a point against its one-cell array
+
+def one_cell(params):
+    """The fields of ``params`` as 1-element arrays, as a sweep cell holds them."""
+    return SimpleNamespace(**{name: np.array([value]) for name, value in asdict(params).items()})
+
+
+def same(value, expected):
+    """Bit for bit the same double; any NaN is the same as any other."""
+    return (struct.pack("<d", value) == struct.pack("<d", expected)
+            or math.isnan(value) and math.isnan(expected))
+
+
+ENERGIES = st.floats(1e-3, 1e6)
+ALPHAS = st.floats(1e-3, 10.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ej1=ENERGIES, ej2=ENERGIES, ein=st.floats(1e-6, 1e6), alpha1=ALPHAS, alpha2=ALPHAS,
+       kappa=st.sampled_from([1, -1]), bias=st.floats(0.0, 1.2))
+@example(ej1=1e308, ej2=1e308, ein=1.0, alpha1=0.1, alpha2=0.1, kappa=1, bias=0.9)
+@example(ej1=5e-324, ej2=5e-324, ein=5e-324, alpha1=0.1, alpha2=0.1, kappa=1, bias=0.5)
+@example(ej1=50.0, ej2=50.0, ein=125.0, alpha1=0.1, alpha2=0.1, kappa=1, bias=1e-200)
+def test_a_point_evaluates_as_its_one_cell_array(ej1, ej2, ein, alpha1, alpha2, kappa, bias):
+    # A point runs on Python floats and math, an array on numpy, through the
+    # same expressions: derive and epsilon agree bit for bit.  The rate's
+    # theta0 takes math.asin in place of numpy's arcsin, 1 ulp apart at
+    # most.  u ** 0.25 is Python's pow for a point and numpy's for an
+    # array, up to 2 ulp apart, which the fields built from omega_p_i carry
+    # to 7 ulp of a product, and of the terms summed for a log field.
+    point = JunctionParams(ej1, ej2, ein, alpha1, alpha2, kappa, bias)
+    cell = one_cell(point)
+    with np.errstate(all="ignore"):  # as sweep_grid runs its cells
+        cells = (derive(cell), epsilon(cell))
+        rates = [escape_rate_ln(cell, eps) for eps in (cells[1].epsilon, np.zeros(1))]
+    for at_point, in_cell in zip((derive(point), epsilon(point)), cells):
+        for name, value in asdict(at_point).items():
+            assert type(value) in (float, bool), name
+            expected = np.broadcast_to(getattr(in_cell, name), (1,))[0]
+            assert (value == expected if type(value) is bool
+                    else same(value, float(expected))), name
+    for eps, in_cell in zip((epsilon(point).epsilon, 0.0), rates):
+        try:
+            rate = escape_rate_ln(point, eps)
+        except (InvalidParameterError, NoBarrierError):
+            assert all(np.isnan(value).all() for value in asdict(in_cell).values())
+            continue
+        terms = (math.log(12.0) + abs(math.log(rate.omega_p_i)) + abs(rate.ln_prefactor)
+                 + rate.exponent_b)
+        for name, value in asdict(rate).items():
+            expected = float(getattr(in_cell, name)[0])
+            assert type(value) is float, name
+            ulps = 1 if name == "theta0" else 8
+            scale = terms if name.startswith("ln_") else value
+            assert (same(value, expected)
+                    or abs(value - expected) <= ulps * math.ulp(scale)), (name, value, expected)

@@ -17,6 +17,7 @@ doubles drawn for ``theta_min`` stay within |theta_min| <= 1e300.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from hypothesis import strategies as st
 
 from heterojj import (AxisSpec, JunctionParams, PhaseState, bounce_action,
                       integrate)
-from heterojj._kernels import MAX_STEPS
-from heterojj.errors import HeterojjError, InvalidParameterError
+from heterojj._kernels import MAX_STEPS, rk4_setup
+from heterojj.errors import (HeterojjError, InvalidAxisError,
+                             InvalidParameterError)
 from heterojj.inputs import AXIS_NAMES
 
 BEYOND_FLOATS = (st.integers(10**309, 10**400)
@@ -133,6 +135,7 @@ def test_integrate_arguments(dt, n_steps, stride):
 @example(mass=True, theta_min=math.asin(0.95))
 @example(mass=0.5, theta_min=10**400)
 @example(mass=1e308, theta_min=math.asin(0.95))
+@example(mass=5e307, theta_min=math.asin(0.95))
 @example(mass=0.5, theta_min=10**20)
 def test_bounce_action_arguments(mass, theta_min):
     returns_or_refuses(bounce_action, washboard, mass, theta_min)
@@ -152,3 +155,56 @@ def test_phase_state_is_an_input_held_as_floats():
     for flag in (True, np.False_):
         with pytest.raises(InvalidParameterError, match="^PhaseState.psi must be finite$"):
             PhaseState(0.0, flag, 0.0, 0.0)
+
+
+# An int past Python's limit on int-to-str digits: repr and str refuse it.
+HUGE = 10**5000
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+@pytest.mark.parametrize("error,call", [
+    (InvalidParameterError, lambda: JunctionParams(ej1=HUGE, ej2=1, ein=1)),
+    (InvalidParameterError, lambda: JunctionParams(1, 1, 1, kappa=-HUGE)),
+    (InvalidParameterError, lambda: JunctionParams(1, 1, 1, bias=-HUGE)),
+    (InvalidParameterError, lambda: JunctionParams.from_ratios(HUGE, 2.0)),
+    (InvalidAxisError, lambda: AxisSpec(HUGE, 0, 1, 5)),
+    (InvalidAxisError, lambda: AxisSpec("bias", 0, HUGE, 5)),
+    (InvalidAxisError, lambda: AxisSpec("bias", 0, 1, -HUGE)),
+    (InvalidParameterError, lambda: rk4_setup(START, HUGE, 10, 1, REFERENCE)),
+    (InvalidParameterError, lambda: rk4_setup(START, 1e-3, HUGE, 1, REFERENCE)),
+    (InvalidParameterError, lambda: rk4_setup(START, 1e-3, -HUGE, 1, REFERENCE)),
+    (InvalidParameterError, lambda: rk4_setup(START, 1e-3, 10, -HUGE, REFERENCE)),
+    (InvalidParameterError, lambda: bounce_action(washboard, HUGE, math.asin(0.95))),
+    (InvalidParameterError, lambda: bounce_action(washboard, 0.5, HUGE)),
+], ids=["ej1", "kappa", "bias", "from_ratios", "axis-name", "axis-stop", "axis-count",
+        "dt", "n_steps", "n_steps-negative", "stride", "mass", "theta_min"])
+def test_an_int_past_the_digit_limit_is_shown_by_its_size(error, call):
+    with pytest.raises(error, match=f"an int of {HUGE.bit_length()} bits"):
+        call()
+
+
+def test_a_phase_state_past_the_digit_limit_is_refused():
+    with pytest.raises(InvalidParameterError, match="^PhaseState.theta must be finite$"):
+        PhaseState(HUGE, 0, 0, 0)
+
+
+@pytest.mark.parametrize("message,call", [
+    ("ej1 must be a finite positive energy, got -2.5", lambda: JunctionParams(-2.5, 1, 1)),
+    ("kappa must be +1 or -1 exactly, got 0", lambda: JunctionParams(1, 1, 1, kappa=0)),
+    ("omega_ratio must be a positive real number, got 'x'",
+     lambda: JunctionParams.from_ratios(100, "x")),
+    ("axis 'bias' range and its span must be finite: [0, inf]",
+     lambda: AxisSpec("bias", 0, math.inf, 5)),
+    ("axis 'bias' range is inverted or empty: [1.0, 0.0]",
+     lambda: AxisSpec("bias", np.float64(1.0), np.float64(0.0), 5)),
+    ("axis 'bias' needs count >= 2, got 1", lambda: AxisSpec("bias", 0, 1, 1)),
+    ("dt must be finite and positive, got nan",
+     lambda: rk4_setup(START, math.nan, 10, 1, REFERENCE)),
+    ("mass must be positive, got -1.0", lambda: bounce_action(washboard, -1.0, 1.0)),
+], ids=["ej1", "kappa", "from_ratios", "axis-range", "axis-numpy-range", "axis-count", "dt",
+        "mass"])
+def test_an_ordinary_refused_value_is_shown_as_it_is(message, call):
+    with pytest.raises(HeterojjError) as info:
+        call()
+    assert str(info.value) == message

@@ -135,6 +135,14 @@ def test_bounce_matches_adaptive_quadrature(case):
     assert abs(result.action_b - 2.0 * half) / (2.0 * half) < 1e-10
 
 
+@pytest.mark.parametrize("mass", [5e307, 1e308])
+def test_bounce_refuses_an_action_that_overflows(mass):
+    # 2 m [V - V_min] overflows, so the action is inf and its error NaN
+    with pytest.raises(ConvergenceError,
+                       match="^bounce action inf or its quadrature error is not finite$"):
+        bounce_action(_washboard(0.95), mass, math.asin(0.95))
+
+
 def test_bounce_argument_validation():
     fit = cubic_fit(REF_POINT, 0.0)
     with pytest.raises(InvalidParameterError):
