@@ -51,14 +51,17 @@ _EXIT_CODES = {
     NoEquilibriumError: EXIT_NO_BARRIER,
 }
 
-# Rows of CSV text formatted and written at a time.
-CSV_CHUNK_ROWS = 4096
+# Rows of CSV text formatted and written at a time: about 60 KB of text
+# for a sweep's rows and 100-150 KB for a simulate's.
+CSV_CHUNK_ROWS = 1024
 # Longer CSV tables are formatted half by a forked helper process.  Forking
 # and reading the helper's text back cost more than they save on a sweep's
 # ~10**4 rows; a stride-1 simulate's 10**5 rows gain.
-CSV_SPLIT_ROWS = 4 * CSV_CHUNK_ROWS
-# Characters of the helper's (ASCII) text read back at a time.
-READ_BACK_CHARS = 1 << 16
+CSV_SPLIT_ROWS = 16 * CSV_CHUNK_ROWS
+# Characters of the helper's (ASCII) text read back at a time: 16 for each
+# row of a chunk, so a piece holds no more rows than a chunk wherever the
+# rows are 16 characters or longer.
+READ_BACK_CHARS = 16 * CSV_CHUNK_ROWS
 
 
 def __getattr__(name):
@@ -328,17 +331,25 @@ def _axis_json(axis: AxisSpec) -> dict:
             "count": axis.count}
 
 
-def _sweep_json(head: dict, grids: dict) -> str:
-    """``json.dumps({**head, **grids}, indent=2)``, each grid (a list of rows
-    of numbers, None and bools) written a row at a time by the C encoder,
-    which json.dumps uses only without indent."""
-    text = json.dumps(head, indent=2)[:-2]  # without its closing "\n}"
+def _sweep_json(head: dict, grid) -> Iterator[str]:
+    """``json.dumps(document, indent=2) + "\n"`` in pieces, one grid row at
+    a time, for the document ``head`` followed by the sweep grid's
+    ``ln_ratio`` (its values, None where a cell is invalid) and ``valid``
+    grids.  Each row is written by the C encoder, which json.dumps uses only
+    without indent."""
+    yield json.dumps(head, indent=2)[:-2]  # without its closing "\n}"
+    grids = {"ln_ratio": ([value if ok else None for value, ok in zip(row.tolist(), flags.tolist())]
+                          for row, flags in zip(grid.values, grid.valid)),
+             "valid": (flags.tolist() for flags in grid.valid)}
     for key, rows in grids.items():
-        # separators that put one cell per line at the grid cells' depth
-        body = ",\n".join("    [\n      " + json.dumps(row, separators=(",\n      ", ": "))[1:-1]
-                          + "\n    ]" for row in rows)
-        text += f",\n  {json.dumps(key)}: [\n{body}\n  ]"
-    return text + "\n}"
+        opening = f",\n  {json.dumps(key)}: [\n"
+        for row in rows:
+            # separators that put one cell per line at the grid cells' depth
+            yield (opening + "    [\n      " + json.dumps(row, separators=(",\n      ", ": "))[1:-1]
+                   + "\n    ]")
+            opening = ",\n"
+        yield "\n  ]"
+    yield "\n}\n"
 
 
 def _axis_labels(axis: AxisSpec):
@@ -370,11 +381,7 @@ def cmd_sweep(args) -> int:
         "base_params": asdict(grid.base),
         "quantity": "ln_gamma_ratio",
     }
-    grids = {
-        "ln_ratio": np.where(grid.valid, grid.values, None).tolist(),
-        "valid": grid.valid.tolist(),
-    }
-    _write_text(json_path, [_sweep_json(head, grids), "\n"])
+    _write_text(json_path, _sweep_json(head, grid))
     if not grid.valid.any():
         _stderr("warning: no valid cells in the requested grid")
     _stdout().write(f"wrote {csv_path} and {json_path}\n")

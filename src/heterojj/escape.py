@@ -18,7 +18,8 @@ V0 = w(I)^2 cot^2(theta0) / 3.  All rates are carried as natural logs to
 stay overflow-safe at large E_J/E_C.  Only :func:`escape_rate_ln` states
 the formula and its barrier rule, eps >= 0 and 0 < bias < 1 - eps: a
 point outside the rule raises, an array cell outside it is NaN, and
-:func:`sweep_grid` is one call of :func:`enhancement_ratio_ln`.
+:func:`sweep_grid` makes one call of :func:`enhancement_ratio_ln` per
+block of rows.
 
 The formula is semiclassical: it needs a bounce exponent B >> 1
 (Caldeira & Leggett, Ann. Phys. 149, 374 (1983)), but B >> 1 is not
@@ -38,13 +39,14 @@ are evaluated exactly but lie outside the formula's domain.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import _EXPORTS
 from .errors import InvalidAxisError, InvalidParameterError, NoBarrierError
-from .inputs import AxisSpec, JunctionParams, shown
+from .inputs import AxisSpec, JunctionParams, is_number, shown
 from .model import channel_weights, derive, ops
 
 if TYPE_CHECKING:
@@ -54,6 +56,10 @@ __all__ = list(_EXPORTS["escape"])
 
 # Above this value the psi^2 truncation of the interaction is itself suspect.
 EPSILON_STRAIN_THRESHOLD = 0.2
+# Cells per call of enhancement_ratio_ln in sweep_grid: a block of whole
+# axis-1 rows, at least one, so the call's temporaries stay this size
+# however large the grid is.
+SWEEP_BLOCK_CELLS = 2048
 
 
 @dataclass(frozen=True)
@@ -153,8 +159,12 @@ def escape_rate_ln(params: JunctionParams, eps: float) -> EscapeResult:
     xp = ops(params)
     bias = params.bias
     if isinstance(params, JunctionParams):
-        if not eps >= 0.0:  # a NaN fails this too
-            raise InvalidParameterError(f"eps must satisfy eps >= 0, got {shown(eps)}")
+        # +inf is a number here: an omega_JL that underflows to 0 gives it,
+        # and it leaves no barrier
+        infinite = isinstance(eps, numbers.Real) and eps == math.inf
+        if not (is_number(eps) or infinite) or not eps >= 0.0:
+            raise InvalidParameterError(
+                f"eps must be a real number with eps >= 0, got {shown(eps)}")
         if bias <= 0.0:
             raise InvalidParameterError(
                 "the cubic-barrier chain requires bias > 0 (the untilted well has no "
@@ -207,11 +217,13 @@ def sweep_grid(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec) -> SweepG
 
     Axis semantics: ``alpha`` sets alpha1 = alpha2, ``ej_over_ec`` rescales
     both channels at fixed asymmetry, and ``omega_ratio`` solves ein last,
-    from the cell's final E_J and alpha.  The whole grid is one call of
-    :func:`enhancement_ratio_ln` on array fields.  Cells with invalid
-    parameters (omega_ratio <= 0 included) or outside the barrier rule are
-    NaN and invalid without affecting their neighbors.  A grid too large to
-    allocate raises InvalidAxisError.
+    from the cell's final E_J and alpha.  Each block of axis-1 rows, about
+    SWEEP_BLOCK_CELLS cells, is one call of :func:`enhancement_ratio_ln` on
+    array fields, so the temporaries take a block's memory, not the grid's,
+    and a cell's value does not depend on the block it falls in.  Cells
+    with invalid parameters (omega_ratio <= 0 included) or outside the
+    barrier rule are NaN and invalid without affecting their neighbors.  A
+    grid too large to allocate raises InvalidAxisError.
     """
     if axis1.name == axis2.name:
         raise InvalidAxisError(f"axes must differ, both are {axis1.name!r}")
@@ -232,7 +244,21 @@ def _sweep_cells(base: JunctionParams, axis1: AxisSpec,
                  axis2: AxisSpec) -> tuple[np.ndarray, np.ndarray]:
     """The ``values`` and ``valid`` arrays of :func:`sweep_grid`."""
     import numpy as np
-    axes = {axis1.name: axis1.values()[:, None], axis2.name: axis2.values()[None, :]}
+    values = np.empty((axis1.count, axis2.count))
+    valid = np.empty(values.shape, dtype=bool)
+    values1, values2 = axis1.values()[:, None], axis2.values()[None, :]
+    rows = max(1, SWEEP_BLOCK_CELLS // axis2.count)
+    for lo in range(0, axis1.count, rows):
+        block = slice(lo, lo + rows)
+        values[block], valid[block] = _sweep_block(
+            base, {axis1.name: values1[block], axis2.name: values2})
+    return values, valid
+
+
+def _sweep_block(base: JunctionParams, axes: dict) -> tuple[np.ndarray, np.ndarray]:
+    """ln(Gamma/Gamma0) and its ``valid`` flags on the cells that the axis
+    values ``axes`` (by name, broadcasting to the block's shape) span."""
+    import numpy as np
     cell = SimpleNamespace(ej1=base.ej1, ej2=base.ej2, ein=base.ein,
                            alpha1=base.alpha1, alpha2=base.alpha2, kappa=base.kappa,
                            bias=axes.get("bias", base.bias))
@@ -252,5 +278,4 @@ def _sweep_cells(base: JunctionParams, axis1: AxisSpec,
         valid = np.isfinite(ln_ratio)
         for v in (cell.ej1, cell.ej2, cell.ein, cell.alpha1, cell.alpha2):
             valid = valid & np.isfinite(v) & (v > 0.0)
-    valid = np.broadcast_to(valid, (axis1.count, axis2.count)).copy()
     return np.where(valid, ln_ratio, np.nan), valid

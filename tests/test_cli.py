@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heterojj import cli, escape, oracle
+from heterojj import AxisSpec, cli, escape, oracle
 from heterojj.cli import main
 from heterojj.config import default_params
 from helpers import process_env, random_params
@@ -658,6 +658,27 @@ def test_simulate_text_memory_stays_below_the_csv_size(tmp_path, monkeypatch, to
     assert peak < size, f"traced peak {peak} B for a CSV of {size} B"
 
 
+# A sweep's grid is evaluated a block of rows at a time and its JSON written
+# a row at a time, so a 300 x 300 sweep holds its grid and CSV columns
+# (about 25 B a cell), a block and a chunk, never a whole copy of the text
+# (about 61 B a cell of CSV here).
+def test_sweep_memory_stays_below_the_csv_size(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_second_cpu", lambda: hasattr(os, "fork"))
+    cfg = write(tmp_path, "big.cfg", REF_CONFIG
+                + "[run]\naxis1 = bias:0.9:0.99:300\naxis2 = omega_ratio:0.5:5:300\n")
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--config", cfg, "--out", "grid"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert_no_child_left()
+    size = (tmp_path / "grid.csv").stat().st_size
+    assert peak < size, f"traced peak {peak} B for a CSV of {size} B"
+
+
 # The process entry ends with os._exit, which flushes and closes no file
 # object, so a command must close every file it opens before it returns.
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -815,12 +836,20 @@ def test_sweep_json_is_json_dumps_with_indent():
     # the row-by-row rendering against the stdlib's indented encoder, on
     # nulls, bools, a negative zero, the smallest subnormal and the largest
     # double, and on a head with nested objects
-    head = {"axis1": {"name": "bias", "min": 0.9, "max": 1.0, "count": 3},
+    head = {"axis1": {"name": "bias", "min": 0.9, "max": 1.0, "count": 2},
             "base_params": {"ej1": 50.0, "kappa": -1}, "note": None,
             "quantity": "ln_gamma_ratio"}
-    grids = {"ln_ratio": [[None, -0.0, 5e-324], [1.7976931348623157e308, 0.1, None]],
-             "valid": [[False, True, True], [True, True, False]]}
-    assert cli._sweep_json(head, grids) == json.dumps({**head, **grids}, indent=2)
+    valid = np.array([[False, True, True], [True, True, False]])
+    grid = escape.SweepGrid(
+        axis1=AxisSpec("bias", 0.9, 1.0, 2), axis2=AxisSpec("omega_ratio", 1.0, 3.0, 3),
+        values=np.array([[math.nan, -0.0, 5e-324], [1.7976931348623157e308, 0.1, math.nan]]),
+        valid=valid, base=default_params())
+    document = {**head, "ln_ratio": [[None, -0.0, 5e-324], [1.7976931348623157e308, 0.1, None]],
+                "valid": valid.tolist()}
+    pieces = list(cli._sweep_json(head, grid))
+    assert "".join(pieces) == json.dumps(document, indent=2) + "\n"
+    # a grid row opens with "[" and its first cell's indent: one a piece at most
+    assert max(piece.count("[\n      ") for piece in pieces) == 1
 
 
 def test_sweep_all_invalid_grid_warns_but_succeeds(tmp_path, capsys, monkeypatch):

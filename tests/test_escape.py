@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from heterojj import escape
 from heterojj import (AxisSpec, InvalidAxisError, InvalidParameterError,
                       JunctionParams, NoBarrierError, derive, enhancement_ratio_ln,
                       epsilon, escape_rate_ln, sweep_grid)
@@ -370,6 +371,31 @@ def test_sweep_matches_per_cell_reference_loop(axis1, axis2):
     assert np.array_equal(grid.valid, valid)
     assert np.isnan(grid.values[~valid]).all()
     assert valid.any() and not valid.all()
+
+
+# Blocks of rows: 1001 rows of 5 cells are two default blocks of 409 rows
+# and part of a third, and 1001 blocks of a row at 7 cells a block; a row
+# of 2500 cells is a block of its own below 10**9 cells.  Every range
+# crosses its invalid edge, omega_ratio <= 0 included, and at base bias
+# 0.996 every pair of axes crosses the tilt.
+BLOCK_AXES = (("bias", -0.1, 1.05), ("omega_ratio", -1.0, 5.0), ("ej_over_ec", -50.0, 400.0),
+              ("alpha", -0.05, 0.3))
+
+
+@pytest.mark.parametrize("counts", [(1001, 5), (3, 2500)], ids=["rows", "one-row"])
+@pytest.mark.parametrize("axis1,axis2", list(itertools.combinations(BLOCK_AXES, 2)),
+                         ids=lambda a: a[0])
+def test_sweep_blocks_give_the_bits_of_one_call(axis1, axis2, counts, monkeypatch):
+    base = JunctionParams.from_ratios(100.0, 2.0, 2.0, 0.08, 0.15, 1, 0.996)
+    axis1, axis2 = (AxisSpec(*axis, count) for axis, count in zip((axis1, axis2), counts))
+    grids = set()
+    for block in (1, 7, escape.SWEEP_BLOCK_CELLS, 10**9):
+        monkeypatch.setattr(escape, "SWEEP_BLOCK_CELLS", block)
+        grid = sweep_grid(base, axis1, axis2)
+        grids.add((grid.values.tobytes(), grid.valid.tobytes()))
+    assert len(grids) == 1
+    in_range = (axis1.values()[:, None] > 0.0) & (axis2.values()[None, :] > 0.0)
+    assert grid.valid.any() and (in_range & ~grid.valid).any()  # past the tilt
 
 
 def test_sweep_deterministic():

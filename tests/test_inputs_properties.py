@@ -3,10 +3,11 @@ package's own error.
 
 Each field of ``JunctionParams``, ``PhaseState`` and ``AxisSpec``, each
 argument of ``JunctionParams.from_ratios``, ``integrate``'s ``dt``,
-``n_steps`` and ``stride`` and ``bounce_action``'s ``mass`` and
-``theta_min`` is drawn from ints beyond the float range, Python and numpy
-bools, strings, None, NaN, infinities, 0, negative numbers, subnormals,
-any finite double and numpy ``float32`` and ``int64`` scalars.  A call must
+``n_steps`` and ``stride``, ``escape_rate_ln``'s ``eps`` and
+``bounce_action``'s ``mass`` and ``theta_min`` is drawn from ints beyond
+the float range, Python and numpy bools, strings, None, NaN, infinities, 0,
+negative numbers, subnormals, any finite double and numpy ``float32`` and
+``int64`` scalars.  A call must
 return or raise a :class:`heterojj.errors.HeterojjError` subclass: no
 ``OverflowError`` or ``TypeError`` escapes, and no RuntimeWarning either
 (the suite runs with RuntimeWarning as an error).  A valid ``n_steps`` is at
@@ -25,10 +26,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heterojj import (AxisSpec, JunctionParams, PhaseState, bounce_action,
-                      integrate)
+                      escape_rate_ln, integrate)
 from heterojj._kernels import MAX_STEPS, rk4_setup
 from heterojj.errors import (HeterojjError, InvalidAxisError,
-                             InvalidParameterError)
+                             InvalidParameterError, NoBarrierError)
 from heterojj.inputs import AXIS_NAMES
 
 BEYOND_FLOATS = (st.integers(10**309, 10**400)
@@ -63,6 +64,7 @@ STRIDES = (ANY | st.integers(-2, 20) | st.integers(1, 10**400)
            | st.integers(1, 2**63 - 1).map(np.int64))
 
 REFERENCE = JunctionParams.from_ratios(100.0, 2.0, bias=0.95)
+HALF_BIAS = REFERENCE.replace(bias=0.5)
 START = PhaseState(0.1, 0.0, 0.0, 0.0)
 
 
@@ -141,6 +143,34 @@ def test_bounce_action_arguments(mass, theta_min):
     returns_or_refuses(bounce_action, washboard, mass, theta_min)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(eps=ANY | st.floats(0.0, 0.5))
+@example(eps=10**400)
+@example(eps="x")
+@example(eps=True)
+def test_escape_rate_eps(eps):
+    returns_or_refuses(escape_rate_ln, HALF_BIAS, eps)
+
+
+# eps is a real number, not a bool; +inf, the eps of an omega_JL that
+# underflows to 0, is one and leaves no barrier, as the CLI's exit 5 there
+# shows
+@pytest.mark.parametrize("eps", [10**400, -10**400, "x", None, 1j, True, np.True_, math.nan,
+                                 -math.inf],
+                         ids=["int-past-floats", "negative-int-past-floats", "str", "None",
+                              "complex", "bool", "numpy-bool", "nan", "-inf"])
+def test_escape_rate_refuses_an_eps_that_is_not_a_valid_number(eps):
+    with pytest.raises(InvalidParameterError) as info:
+        escape_rate_ln(HALF_BIAS, eps)
+    assert str(info.value) == f"eps must be a real number with eps >= 0, got {eps!r}"
+
+
+@pytest.mark.parametrize("eps", [math.inf, np.float32(math.inf)], ids=["inf", "numpy-inf"])
+def test_escape_rate_reads_an_infinite_eps_as_no_barrier(eps):
+    with pytest.raises(NoBarrierError):
+        escape_rate_ln(HALF_BIAS, eps)
+
+
 def test_phase_state_is_an_input_held_as_floats():
     import heterojj
     from heterojj import _kernels, dynamics
@@ -177,8 +207,9 @@ HUGE = 10**5000
     (InvalidParameterError, lambda: rk4_setup(START, 1e-3, 10, -HUGE, REFERENCE)),
     (InvalidParameterError, lambda: bounce_action(washboard, HUGE, math.asin(0.95))),
     (InvalidParameterError, lambda: bounce_action(washboard, 0.5, HUGE)),
+    (InvalidParameterError, lambda: escape_rate_ln(HALF_BIAS, HUGE)),
 ], ids=["ej1", "kappa", "bias", "from_ratios", "axis-name", "axis-stop", "axis-count",
-        "dt", "n_steps", "n_steps-negative", "stride", "mass", "theta_min"])
+        "dt", "n_steps", "n_steps-negative", "stride", "mass", "theta_min", "eps"])
 def test_an_int_past_the_digit_limit_is_shown_by_its_size(error, call):
     with pytest.raises(error, match=f"an int of {HUGE.bit_length()} bits"):
         call()
