@@ -23,7 +23,7 @@ import os
 import sys
 from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import asdict
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
 from .config import RunConfig, default_config, load_config
@@ -139,18 +139,11 @@ def _write_report(report: dict, as_json: bool) -> int:
     return EXIT_OK
 
 
-def _csv_rows(columns: dict, start: int, stop: int) -> Iterator[str]:
-    """Rows ``[start, stop)`` of the columns as CSV text, in pieces of at
-    most CSV_CHUNK_ROWS rows."""
-    row = ",".join({"b": "%d", "O": "%s"}.get(col.dtype.kind, "%.17g")
-                   for col in columns.values()) + "\n"
+def _csv_rows(chunk: Callable[[int, int], str], start: int, stop: int) -> Iterator[str]:
+    """Rows ``[start, stop)`` as CSV text, ``chunk(lo, hi)`` for each piece
+    ``[lo, hi)`` of at most CSV_CHUNK_ROWS rows."""
     for lo in range(start, stop, CSV_CHUNK_ROWS):
-        # bools and objects as Python objects, since a numpy bool per cell
-        # is slow to format; floats as the numpy scalars zip makes, which
-        # format faster than a chunk of Python floats
-        chunk = [col[lo:min(lo + CSV_CHUNK_ROWS, stop)] for col in columns.values()]
-        yield "".join([row % cells for cells in
-                       zip(*(col if col.dtype.kind == "f" else col.tolist() for col in chunk))])
+        yield chunk(lo, min(lo + CSV_CHUNK_ROWS, stop))
 
 
 def _second_cpu() -> bool:
@@ -199,11 +192,12 @@ def _helper(work, wanted: bool):
             os.waitpid(pid, 0)
 
 
-def _csv(columns: dict, *footer: str) -> Iterator[str]:
-    """CSV text in pieces: a header of the column names, one row per array
-    element (floats with 17 significant digits, bools as 1/0, objects such
-    as strings as they are) and the footer lines, each line ended by a
-    newline.
+def _csv(names: Iterable[str], n: int, chunk: Callable[[int, int], str],
+         *footer: str) -> Iterator[str]:
+    """CSV text in pieces: a header of the column ``names``, the ``n``
+    rows and the footer lines, each line ended by a newline.  The caller
+    formats the rows: ``chunk(lo, hi)`` is the text of rows ``[lo, hi)``,
+    each ended by a newline, for any ``0 <= lo < hi <= n``.
 
     Rows come at most CSV_CHUNK_ROWS at a time, or READ_BACK_CHARS
     characters at a time for those a helper formatted.  Only one piece of
@@ -212,8 +206,7 @@ def _csv(columns: dict, *footer: str) -> Iterator[str]:
     second half of a table of more than CSV_SPLIT_ROWS rows into a temporary
     file, where a second CPU is at hand and the file can be made.
     """
-    n = len(next(iter(columns.values())))
-    yield ",".join(columns) + "\n"
+    yield ",".join(names) + "\n"
     half = n // 2 if n > CSV_SPLIT_ROWS and _second_cpu() else n
     tmp = None
     if half < n:
@@ -222,16 +215,16 @@ def _csv(columns: dict, *footer: str) -> Iterator[str]:
             tmp = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
 
     def format_second_half():
-        tmp.writelines(_csv_rows(columns, half, n))
+        tmp.writelines(_csv_rows(chunk, half, n))
         tmp.flush()
     with tmp or nullcontext(), _helper(format_second_half, tmp is not None) as done:
-        yield from _csv_rows(columns, 0, half)
+        yield from _csv_rows(chunk, 0, half)
         if done():
             tmp.seek(0)
             while piece := tmp.read(READ_BACK_CHARS):
                 yield piece
         else:
-            yield from _csv_rows(columns, half, n)
+            yield from _csv_rows(chunk, half, n)
     yield "".join(line + "\n" for line in footer)
 
 
@@ -298,8 +291,14 @@ def cmd_simulate(args) -> int:
         finite = np.isfinite(values)
         if not finite.all():
             return _refuse(name, float(np.extract(~finite, values)[0]), "CSV")
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+
+    def rows(lo, hi):
+        # the numpy scalars zip makes format faster than a chunk of Python floats
+        return "".join([row % cells for cells in zip(*(col[lo:hi] for col in columns.values()))])
     # closing stops a helper process at once if a write fails
-    with closing(_csv(columns, *(f"# {name}={value:.17g}" for name, value in footer.items()))) as pieces:
+    with closing(_csv(columns, len(columns["tau"]), rows,
+                      *(f"# {name}={value:.17g}" for name, value in footer.items()))) as pieces:
         if out is None:
             _stdout().writelines(pieces)
         else:
@@ -352,28 +351,25 @@ def _sweep_json(head: dict, grid) -> Iterator[str]:
     yield "\n}\n"
 
 
-def _axis_labels(axis: AxisSpec):
-    """The axis values as CSV text, each formatted once, in a numpy array
-    of objects, so the CSV rows take these str objects instead of a new
-    numpy str each."""
-    import numpy as np
-    return np.array(["%.17g" % value for value in axis.values()], dtype=object)
-
-
 def cmd_sweep(args) -> int:
     stem = _out(args, "stem")
     cfg = _load(args)
-    import numpy as np
     from . import escape
     grid = escape.sweep_grid(cfg.params, cfg.axis1, cfg.axis2)
     csv_path = stem + ".csv"
     json_path = stem + ".json"
-    with closing(_csv({
-        grid.axis1.name: np.repeat(_axis_labels(grid.axis1), grid.axis2.count),
-        grid.axis2.name: np.tile(_axis_labels(grid.axis2), grid.axis1.count),
-        "ln_ratio": grid.values.ravel(),
-        "valid": grid.valid.ravel(),
-    })) as pieces:
+    # each axis value formatted once, not once per row
+    labels1, labels2 = (["%.17g" % value for value in axis.values()]
+                        for axis in (grid.axis1, grid.axis2))
+    n2 = len(labels2)
+    values, valid = grid.values.ravel(), grid.valid.ravel()
+
+    # row k is grid cell divmod(k, n2); its flag as a Python bool, which
+    # formats faster than a numpy bool
+    def rows(lo, hi):
+        return "".join(["%s,%s,%.17g,%d\n" % (labels1[k // n2], labels2[k % n2], value, ok)
+                        for k, value, ok in zip(range(lo, hi), values[lo:hi], valid[lo:hi].tolist())])
+    with closing(_csv((grid.axis1.name, grid.axis2.name, "ln_ratio", "valid"), values.size, rows)) as pieces:
         _write_text(csv_path, pieces)
     head = {
         "axis1": _axis_json(grid.axis1),

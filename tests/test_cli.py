@@ -18,7 +18,7 @@ import pytest
 
 from heterojj import AxisSpec, cli, escape, oracle
 from heterojj.cli import main
-from heterojj.config import default_params
+from heterojj.config import default_params, load_config
 from helpers import process_env, random_params
 
 REF_CONFIG = """
@@ -478,16 +478,21 @@ def test_simulate_huge_stride_exits_invariant(tmp_path, capsys, dt, run, option)
 
 
 def table(n_rows):
-    """Float, bool and object columns of ``n_rows`` rows, with their CSV
-    text formatted here as the reference."""
+    """The column names, row count and row formatter that ``cli._csv``
+    takes for a float column, its square, a flag and a label of ``n_rows``
+    rows, their footer, and their CSV text formatted here as the reference."""
     x = np.arange(n_rows) * math.pi - 1e5
     flag = np.arange(n_rows) % 3 == 0
-    label = np.array([f"r{i}" for i in range(n_rows)], dtype=object)
     footer = ("# a=1", "# b=-2.5")
     rows = [f"{a:.17g},{a * a:.17g},{int(b)},r{i}"
             for i, (a, b) in enumerate(zip(x.tolist(), flag.tolist()))]
     text = "\n".join(["x,x_sq,flag,label", *rows, *footer, ""])
-    return {"x": x, "x_sq": x * x, "flag": flag, "label": label}, footer, text
+
+    def chunk(lo, hi):
+        assert 0 <= lo < hi <= n_rows
+        return "".join("%.17g,%.17g,%d,r%d\n" % (a, a * a, b, i) for i, a, b in
+                       zip(range(lo, hi), x[lo:hi].tolist(), flag[lo:hi].tolist()))
+    return ("x", "x_sq", "flag", "label"), n_rows, chunk, footer, text
 
 
 # Above CSV_SPLIT_ROWS a forked helper formats the second half of the rows,
@@ -498,8 +503,8 @@ def table(n_rows):
                                     cli.CSV_SPLIT_ROWS + 1, 2 * cli.CSV_SPLIT_ROWS + 7])
 def test_csv_pieces_join_to_the_whole_text(n_rows, monkeypatch):
     monkeypatch.setattr(cli, "_second_cpu", lambda: hasattr(os, "fork"))
-    columns, footer, text = table(n_rows)
-    pieces = list(cli._csv(columns, *footer))
+    *csv, footer, text = table(n_rows)
+    pieces = list(cli._csv(*csv, *footer))
     assert "".join(pieces) == text
     assert max(piece.count("\n") for piece in pieces) <= cli.CSV_CHUNK_ROWS
     assert_no_child_left()
@@ -566,7 +571,7 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
                                    pytest.param(helper_exits_1, marks=needs_fork),
                                    pytest.param(helper_killed, marks=needs_fork)])
 def test_csv_without_a_helper_is_the_same_text(tmp_path, capsys, monkeypatch, patch):
-    columns, footer, text = table(cli.CSV_SPLIT_ROWS + 1)
+    *csv, footer, text = table(cli.CSV_SPLIT_ROWS + 1)
     cfg = write(tmp_path, "sim.cfg",
                 SIM_CONFIG.replace("n_steps = 2000", f"n_steps = {cli.CSV_SPLIT_ROWS}"))
     argv = ["simulate", "--config", cfg, "--stride", "1"]
@@ -575,13 +580,50 @@ def test_csv_without_a_helper_is_the_same_text(tmp_path, capsys, monkeypatch, pa
         assert main(argv) == 0
     expected = capsys.readouterr()
     patch(monkeypatch)
-    assert "".join(cli._csv(columns, *footer)) == text
+    assert "".join(cli._csv(*csv, *footer)) == text
     assert main(argv) == 0
     assert capsys.readouterr() == expected
     assert main([*argv, "--out", str(tmp_path / "run.csv")]) == 0
     assert capsys.readouterr() == ("", "")
     assert (tmp_path / "run.csv").read_bytes().decode() == expected.out
     assert_no_child_left()
+
+
+# A sweep of more than CSV_SPLIT_ROWS cells has the second half of its CSV
+# formatted by a helper; on 131 x 170 cells that half starts in the middle of
+# grid row 65.  Its rows are those of the grid escape.sweep_grid evaluates,
+# across the tilt and omega_ratio <= 0, with the same bytes in both files
+# whether the helper formats the half, no helper is forked or it fails.
+@needs_fork
+def test_sweep_csv_through_the_split_is_the_grid(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "split.cfg", REF_CONFIG
+                + "[run]\naxis1 = bias:0.9:1.2:131\naxis2 = omega_ratio:-1:6:170\n")
+    run = load_config(cfg)
+    n = run.axis1.count * run.axis2.count
+    assert n > cli.CSV_SPLIT_ROWS and (n // 2) % run.axis2.count
+    grid = escape.sweep_grid(run.params, run.axis1, run.axis2)
+    assert grid.valid.any() and not grid.valid.all()
+    rows = ["%.17g,%.17g,%.17g,%d" % (a, b, grid.values[i, j], grid.valid[i, j])
+            for i, a in enumerate(run.axis1.values().tolist())
+            for j, b in enumerate(run.axis2.values().tolist())]
+    text = "\n".join(["bias,omega_ratio,ln_ratio,valid", *rows, ""])
+    outputs = []
+    for patch in (None, one_cpu, helper_exits_1):
+        with monkeypatch.context() as mp:
+            forks = []
+            if patch is None:
+                fork = os.fork
+                mp.setattr(cli, "_second_cpu", lambda: True)
+                mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+            else:
+                patch(mp)
+            assert main(["sweep", "--config", cfg, "--out", "grid"]) == 0
+        assert forks == ([1] if patch is None else [])
+        assert_no_child_left()
+        outputs.append(((tmp_path / "grid.csv").read_bytes(), (tmp_path / "grid.json").read_bytes()))
+    assert outputs[0][0].decode() == text
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 # A table long enough to split opens its temporary file only where a
@@ -658,10 +700,11 @@ def test_simulate_text_memory_stays_below_the_csv_size(tmp_path, monkeypatch, to
     assert peak < size, f"traced peak {peak} B for a CSV of {size} B"
 
 
-# A sweep's grid is evaluated a block of rows at a time and its JSON written
-# a row at a time, so a 300 x 300 sweep holds its grid and CSV columns
-# (about 25 B a cell), a block and a chunk, never a whole copy of the text
-# (about 61 B a cell of CSV here).
+# A sweep's grid is evaluated a block of rows at a time and its CSV and JSON
+# written a chunk and a row at a time, so a 300 x 300 sweep holds its grid
+# (9 B a cell: a float value and a bool flag), its formatted axis values, a
+# block and a chunk, never a whole copy of the text (about 61 B a cell of
+# CSV here) nor any other array over the whole grid.
 def test_sweep_memory_stays_below_the_csv_size(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "_second_cpu", lambda: hasattr(os, "fork"))
@@ -677,6 +720,8 @@ def test_sweep_memory_stays_below_the_csv_size(tmp_path, monkeypatch):
     assert_no_child_left()
     size = (tmp_path / "grid.csv").stat().st_size
     assert peak < size, f"traced peak {peak} B for a CSV of {size} B"
+    cells = 300 * 300
+    assert peak < 16 * cells, f"traced peak {peak / cells:.1f} B a cell"
 
 
 # The process entry ends with os._exit, which flushes and closes no file
