@@ -4,8 +4,8 @@ A junction between a single-gap and a two-gap superconductor carries two
 tunneling channels and therefore two phase differences.  This package models
 their coupled classical dynamics, the zero-point renormalization of the
 washboard barrier by the relative-phase (Josephson-Leggett) mode, and the
-resulting enhancement of the quantum escape rate, with built-in independent
-numerical oracles for every closed form.
+resulting enhancement of the quantum escape rate, with built-in numerical
+cross-checks of every closed form.
 
 Reduced units throughout: hbar = 1, charging energy E_C = 1.
 

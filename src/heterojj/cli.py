@@ -65,7 +65,10 @@ READ_BACK_CHARS = 16 * CSV_CHUNK_ROWS
 
 
 def __getattr__(name):
-    # heterojj.cli.derive is model.derive, looked up on use: model imports numpy
+    # heterojj.cli.derive is model.derive, looked up on use so that a cold
+    # import of this module loads no model.  Its one user is the WRAPPED
+    # entry in perfbench/traced_child.py; the benchmark repair in ROADMAP
+    # item 6 drops that entry, and this hook with it.
     if name == "derive":
         from .model import derive
         return derive
@@ -334,12 +337,13 @@ def _sweep_json(head: dict, grid) -> Iterator[str]:
     """``json.dumps(document, indent=2) + "\n"`` in pieces, one grid row at
     a time, for the document ``head`` followed by the sweep grid's
     ``ln_ratio`` (its values, None where a cell is invalid) and ``valid``
-    grids.  Each row is written by the C encoder, which json.dumps uses only
-    without indent."""
+    grids, each row's flags taken from that row's values.  Each row is
+    written by the C encoder, which json.dumps uses only without indent."""
+    import numpy as np  # loaded by the grid
     yield json.dumps(head, indent=2)[:-2]  # without its closing "\n}"
-    grids = {"ln_ratio": ([value if ok else None for value, ok in zip(row.tolist(), flags.tolist())]
-                          for row, flags in zip(grid.values, grid.valid)),
-             "valid": (flags.tolist() for flags in grid.valid)}
+    grids = {"ln_ratio": ([value if ok else None for value, ok in zip(row.tolist(), np.isfinite(row).tolist())]
+                          for row in grid.values),
+             "valid": (np.isfinite(row).tolist() for row in grid.values)}
     for key, rows in grids.items():
         opening = f",\n  {json.dumps(key)}: [\n"
         for row in rows:
@@ -362,13 +366,12 @@ def cmd_sweep(args) -> int:
     labels1, labels2 = (["%.17g" % value for value in axis.values()]
                         for axis in (grid.axis1, grid.axis2))
     n2 = len(labels2)
-    values, valid = grid.values.ravel(), grid.valid.ravel()
+    values = grid.values.ravel()
 
-    # row k is grid cell divmod(k, n2); its flag as a Python bool, which
-    # formats faster than a numpy bool
+    # row k is grid cell divmod(k, n2), valid where its value is finite
     def rows(lo, hi):
-        return "".join(["%s,%s,%.17g,%d\n" % (labels1[k // n2], labels2[k % n2], value, ok)
-                        for k, value, ok in zip(range(lo, hi), values[lo:hi], valid[lo:hi].tolist())])
+        return "".join(["%s,%s,%.17g,%d\n" % (labels1[k // n2], labels2[k % n2], value, math.isfinite(value))
+                        for k, value in zip(range(lo, hi), values[lo:hi])])
     with closing(_csv((grid.axis1.name, grid.axis2.name, "ln_ratio", "valid"), values.size, rows)) as pieces:
         _write_text(csv_path, pieces)
     head = {
@@ -378,7 +381,7 @@ def cmd_sweep(args) -> int:
         "quantity": "ln_gamma_ratio",
     }
     _write_text(json_path, _sweep_json(head, grid))
-    if not grid.valid.any():
+    if not any(math.isfinite(value) for row in grid.values for value in row.tolist()):
         _stderr("warning: no valid cells in the requested grid")
     _stdout().write(f"wrote {csv_path} and {json_path}\n")
     return EXIT_OK

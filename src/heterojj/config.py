@@ -143,9 +143,12 @@ def load_config(path: str) -> RunConfig:
     :class:`InvalidAxisError`.  Physical invariant violations surface later
     as :class:`InvalidParameterError` from :class:`JunctionParams`.
     """
+    # default_section="" is a name no header can match ("[]" is not a
+    # header), so a [DEFAULT] section is an unknown section like any other
+    # instead of keys merged into [junction] and [run]
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",),
                                        comment_prefixes=("#",),
-                                       inline_comment_prefixes=("#",))
+                                       inline_comment_prefixes=("#",), default_section="")
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             parser.read_file(fh)

@@ -99,17 +99,22 @@ class SweepGrid:
 
     ``values[i, j]`` corresponds to axis1 value i, axis2 value j (row-major).
     Cells outside the barrier rule of :func:`escape_rate_ln` or with invalid
-    parameters are NaN with ``valid[i, j]`` False; neighbors are
-    unaffected.  ``valid`` means "barrier exists and parameters are valid",
-    not "the rate is semiclassical": a valid cell may have B_eps below 1 or
-    past the turnover at B_eps = 7/10 (see the module docstring).
+    parameters are NaN; neighbors are unaffected.  ``valid`` is
+    ``np.isfinite(values)``, computed on each access.  It means "barrier
+    exists and parameters are valid", not "the rate is semiclassical": a
+    valid cell may have B_eps below 1 or past the turnover at B_eps = 7/10
+    (see the module docstring).
     """
 
     axis1: AxisSpec
     axis2: AxisSpec
     values: np.ndarray
-    valid: np.ndarray
     base: JunctionParams
+
+    @property
+    def valid(self) -> np.ndarray:
+        import numpy as np
+        return np.isfinite(self.values)
 
 
 def epsilon(params: JunctionParams) -> FluctuationRenorm:
@@ -155,6 +160,15 @@ def escape_rate_ln(params: JunctionParams, eps: float) -> EscapeResult:
     outside it raises InvalidParameterError, or NoBarrierError past the
     tilt.  Any other object with the same fields broadcasts as
     :func:`heterojj.model.derive` does, NaN in the cells outside the rule.
+
+    A point and the same junction as a one-cell array agree to the last
+    bits but for ``u ** 0.25``, Python's pow for one and numpy's for the
+    other (up to 2 ulp apart): their ln_gamma differ by up to 8 ulp of the
+    sum of the terms it adds, ln 12 + |ln omega_p_i| + |ln_prefactor| +
+    exponent_b, and their :func:`enhancement_ratio_ln` by up to 6 ulp of
+    the larger of the corrected and bare sums (measured on 3 * 10**5 random
+    junctions).  ln_gamma itself may cancel to near 0, so these are not
+    ulp of ln_gamma.
     """
     xp = ops(params)
     bias = params.bias
@@ -232,32 +246,25 @@ def sweep_grid(base: JunctionParams, axis1: AxisSpec, axis2: AxisSpec) -> SweepG
         if axis1.count * axis2.count > np.iinfo(np.intp).max // 8:
             # numpy refuses such an array with a ValueError, not a MemoryError
             raise MemoryError("more bytes than an array can index")
-        values, valid = _sweep_cells(base, axis1, axis2)
+        values = np.empty((axis1.count, axis2.count))
+        values1, values2 = axis1.values()[:, None], axis2.values()[None, :]
+        rows = max(1, SWEEP_BLOCK_CELLS // axis2.count)
+        for lo in range(0, axis1.count, rows):
+            block = slice(lo, lo + rows)
+            values[block] = _sweep_block(base, {axis1.name: values1[block], axis2.name: values2})
     except MemoryError as exc:
         raise InvalidAxisError(
             f"axis counts {axis1.count} x {axis2.count} need a sweep grid that "
             f"cannot be allocated ({exc})") from exc
-    return SweepGrid(axis1=axis1, axis2=axis2, values=values, valid=valid, base=base)
+    return SweepGrid(axis1=axis1, axis2=axis2, values=values, base=base)
 
 
-def _sweep_cells(base: JunctionParams, axis1: AxisSpec,
-                 axis2: AxisSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The ``values`` and ``valid`` arrays of :func:`sweep_grid`."""
-    import numpy as np
-    values = np.empty((axis1.count, axis2.count))
-    valid = np.empty(values.shape, dtype=bool)
-    values1, values2 = axis1.values()[:, None], axis2.values()[None, :]
-    rows = max(1, SWEEP_BLOCK_CELLS // axis2.count)
-    for lo in range(0, axis1.count, rows):
-        block = slice(lo, lo + rows)
-        values[block], valid[block] = _sweep_block(
-            base, {axis1.name: values1[block], axis2.name: values2})
-    return values, valid
-
-
-def _sweep_block(base: JunctionParams, axes: dict) -> tuple[np.ndarray, np.ndarray]:
-    """ln(Gamma/Gamma0) and its ``valid`` flags on the cells that the axis
-    values ``axes`` (by name, broadcasting to the block's shape) span."""
+def _sweep_block(base: JunctionParams, axes: dict) -> np.ndarray:
+    """ln(Gamma/Gamma0) on the cells that the axis values ``axes`` (by
+    name, broadcasting to the block's shape) span, NaN in each invalid
+    cell.  A cell whose fields are not all finite and positive is invalid
+    even where its ln_ratio is finite: an omega_ratio of 1e-170 overflows
+    its ein to inf and gives ln_ratio 0."""
     import numpy as np
     cell = SimpleNamespace(ej1=base.ej1, ej2=base.ej2, ein=base.ein,
                            alpha1=base.alpha1, alpha2=base.alpha2, kappa=base.kappa,
@@ -278,4 +285,4 @@ def _sweep_block(base: JunctionParams, axes: dict) -> tuple[np.ndarray, np.ndarr
         valid = np.isfinite(ln_ratio)
         for v in (cell.ej1, cell.ej2, cell.ein, cell.alpha1, cell.alpha2):
             valid = valid & np.isfinite(v) & (v > 0.0)
-    return np.where(valid, ln_ratio, np.nan), valid
+    return np.where(valid, ln_ratio, np.nan)

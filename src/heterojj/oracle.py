@@ -1,12 +1,18 @@
-"""Independent numerical verifiers for the closed-form escape chain.
+"""Numerical verifiers for the closed-form escape chain.
 
-Three cross-checks that deliberately avoid the closed forms they test:
+Three cross-checks that compute numerically what the closed forms state:
 
 * a sinc-DVR eigensolver for the relative-phase harmonic well (level
   ladder and ground-state variance),
 * a Gauss-Legendre bounce action for the instanton exponent,
 * a cubic Taylor fit of the renormalized washboard bridging the exact
   potential and the cubic-barrier formulas.
+
+None is independent of the chain's model: the DVR quantizes the harmonic
+spring that defines omega_JL, the bounce integrates the cubic barrier the
+rate formula was derived from, and the cubic fit takes theta0 from
+:func:`heterojj.escape.escape_rate_ln`.  They check the algebra and the
+numerics of the closed forms, not the physics those approximate.
 """
 
 from __future__ import annotations

@@ -1,10 +1,23 @@
-"""Self-verification suite: every closed form against an independent check.
+"""Self-verification suite: the closed forms against numerical checks.
 
 Each check compares a value the escape chain ships with a numpy oracle (a
 sinc-DVR spectrum, a Gauss-Legendre bounce, central differences, an RK4
 run) and records computed value, reference, tolerance, and pass/fail.
 Rows that share an oracle call form a group; an exception inside the group
 marks all of its rows failed rather than aborting the suite.
+
+Only two rows check something independent of the code under test:
+``gradient-vs-fd`` (the analytic gradient of the exact potential against
+central differences of it) and ``energy-drift`` (energy conservation of an
+RK4 run).  The other eight check the chain against itself or its own
+model: ``epsilon-dual-form`` compares two spellings of one expression in
+:func:`heterojj.escape.epsilon`; the four ``spectrum-*`` rows quantize the
+harmonic spring (1/2) E_in psi^2 that defines omega_JL, so they confirm
+the oscillator, not the junction; ``cubic-barrier-height`` and
+``cubic-curvature`` compare identities of the cubic expansion, exact up to
+rounding, whose theta0 comes from the rate itself; and
+``bounce-vs-closed-form`` integrates the cubic barrier that the rate
+formula was derived from.
 """
 
 from __future__ import annotations

@@ -146,8 +146,11 @@ def test_window_key_rejected(tmp_path, capsys):
     ("[junction]\nej_over_ec = 100\n", 2, "missing key 'omega_ratio' in [junction] "
      "(ratio style needs ej_over_ec and omega_ratio)"),
     (REF_CONFIG + "\n[run]\naxis1 = bias:0.9:0.99:x\n", 6, "axis spec 'bias:0.9:0.99:x': "),
+    # configparser would merge a [DEFAULT] section's keys into every section
+    ("[DEFAULT]\nbias = 0.5\n" + REF_CONFIG.replace("bias = 0.95\n", ""), 2,
+     "unknown section [DEFAULT]"),
 ], ids=["extra-section", "no-junction", "no-style", "direct-no-ein", "ratio-no-omega",
-        "axis-count"])
+        "axis-count", "default-section"])
 def test_config_error_names_its_cause(tmp_path, capsys, text, code, message):
     cfg = write(tmp_path, "bad.cfg", text)
     assert main(["derive", "--config", cfg]) == code
@@ -701,8 +704,9 @@ def test_simulate_text_memory_stays_below_the_csv_size(tmp_path, monkeypatch, to
 
 
 # A sweep's grid is evaluated a block of rows at a time and its CSV and JSON
-# written a chunk and a row at a time, so a 300 x 300 sweep holds its grid
-# (9 B a cell: a float value and a bool flag), its formatted axis values, a
+# written a chunk and a row at a time, each chunk's and row's valid flags
+# taken from its values, so a 300 x 300 sweep holds its grid (8 B a cell: a
+# float value, NaN where the cell is invalid), its formatted axis values, a
 # block and a chunk, never a whole copy of the text (about 61 B a cell of
 # CSV here) nor any other array over the whole grid.
 def test_sweep_memory_stays_below_the_csv_size(tmp_path, monkeypatch):
@@ -888,7 +892,7 @@ def test_sweep_json_is_json_dumps_with_indent():
     grid = escape.SweepGrid(
         axis1=AxisSpec("bias", 0.9, 1.0, 2), axis2=AxisSpec("omega_ratio", 1.0, 3.0, 3),
         values=np.array([[math.nan, -0.0, 5e-324], [1.7976931348623157e308, 0.1, math.nan]]),
-        valid=valid, base=default_params())
+        base=default_params())
     document = {**head, "ln_ratio": [[None, -0.0, 5e-324], [1.7976931348623157e308, 0.1, None]],
                 "valid": valid.tolist()}
     pieces = list(cli._sweep_json(head, grid))

@@ -1,7 +1,8 @@
 import itertools
 import math
 import struct
-from dataclasses import asdict
+import tracemalloc
+from dataclasses import asdict, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -317,6 +318,15 @@ def test_sweep_flags_non_positive_omega_ratio():
         enhancement_ratio_ln(ref_point_at(0.95, 1.0)), rel=1e-12)
 
 
+def test_sweep_flags_a_cell_whose_ein_overflows():
+    # omega_ratio = 1e-170 solves ein = inf, whose finite-looking ln_ratio of
+    # 0 is no rate: the cell fields' own checks make it invalid
+    grid = sweep_grid(REF_POINT, AxisSpec("bias", 0.9, 0.95, 2),
+                      AxisSpec("omega_ratio", 1e-170, 1.0, 2))
+    assert np.isnan(grid.values[:, 0]).all() and not grid.valid[:, 0].any()
+    assert grid.valid[:, 1].all()
+
+
 def test_sweep_past_tilt_at_fixed_bias_and_eps_stays_real():
     # neither axis moves bias, so the bare instanton's 1 - bias^2 < 0 is one
     # number for the whole grid; its fourth root must not turn the grid complex
@@ -407,6 +417,22 @@ def test_sweep_deterministic():
     assert np.array_equal(g1.valid, g2.valid)
 
 
+def test_sweep_grid_holds_one_array():
+    # a grid is its float values alone, NaN where a cell is invalid (8 B a
+    # cell), plus a block's temporaries; valid is computed from the values
+    axis1, axis2 = AxisSpec("bias", 0.9, 0.99, 1000), AxisSpec("omega_ratio", 0.5, 5.0, 1000)
+    tracemalloc.start()
+    try:
+        grid = sweep_grid(REF_POINT, axis1, axis2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = 1000 * 1000
+    assert peak < 8.6 * cells, f"traced peak {peak / cells:.2f} B a cell"
+    assert [field.name for field in fields(grid)] == ["axis1", "axis2", "values", "base"]
+    assert np.array_equal(grid.valid, np.isfinite(grid.values))
+
+
 # ------------------------------------------- a point against its one-cell array
 
 def one_cell(params):
@@ -436,26 +462,34 @@ def test_a_point_evaluates_as_its_one_cell_array(ej1, ej2, ein, alpha1, alpha2, 
     # theta0 takes math.asin in place of numpy's arcsin, 1 ulp apart at
     # most.  u ** 0.25 is Python's pow for a point and numpy's for an
     # array, up to 2 ulp apart, which the fields built from omega_p_i carry
-    # to 7 ulp of a product, and of the terms summed for a log field.
+    # to 7 ulp of a product, and of the terms summed for a log field.  The
+    # enhancement, corrected minus bare ln Gamma, is off by the two rates'
+    # errors, 6 ulp at most of the larger sum of terms (measured on 3 * 10**5
+    # random junctions); in ulp of ln Gamma itself there is no bound, since
+    # ln Gamma = ln_prefactor - exponent_b may cancel to near 0.
     point = JunctionParams(ej1, ej2, ein, alpha1, alpha2, kappa, bias)
     cell = one_cell(point)
     with np.errstate(all="ignore"):  # as sweep_grid runs its cells
         cells = (derive(cell), epsilon(cell))
         rates = [escape_rate_ln(cell, eps) for eps in (cells[1].epsilon, np.zeros(1))]
+        ln_ratio = float(enhancement_ratio_ln(cell)[0])
     for at_point, in_cell in zip((derive(point), epsilon(point)), cells):
         for name, value in asdict(at_point).items():
             assert type(value) in (float, bool), name
             expected = np.broadcast_to(getattr(in_cell, name), (1,))[0]
             assert (value == expected if type(value) is bool
                     else same(value, float(expected))), name
+    scales = []
     for eps, in_cell in zip((epsilon(point).epsilon, 0.0), rates):
         try:
             rate = escape_rate_ln(point, eps)
         except (InvalidParameterError, NoBarrierError):
             assert all(np.isnan(value).all() for value in asdict(in_cell).values())
+            assert math.isnan(ln_ratio)
             continue
         terms = (math.log(12.0) + abs(math.log(rate.omega_p_i)) + abs(rate.ln_prefactor)
                  + rate.exponent_b)
+        scales.append(terms)
         for name, value in asdict(rate).items():
             expected = float(getattr(in_cell, name)[0])
             assert type(value) is float, name
@@ -463,3 +497,7 @@ def test_a_point_evaluates_as_its_one_cell_array(ej1, ej2, ein, alpha1, alpha2, 
             scale = terms if name.startswith("ln_") else value
             assert (same(value, expected)
                     or abs(value - expected) <= ulps * math.ulp(scale)), (name, value, expected)
+    if len(scales) == 2:  # both rates exist
+        value = enhancement_ratio_ln(point)
+        assert (same(value, ln_ratio)
+                or abs(value - ln_ratio) <= 6 * math.ulp(max(scales))), (value, ln_ratio)
