@@ -19,7 +19,7 @@ import math
 import mmap
 from itertools import chain
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NonFiniteStateError
 from .inputs import channel_weights, is_integer, is_number, lambda_cap, shown
 
 # The most steps one run takes: about 40 min of the kernel at ~2.2 us a
@@ -84,9 +84,10 @@ def rk4_step_loop(theta, psi, theta_dot, psi_dot, dt, n_steps, stride,
 
     Fills ``out`` (a C-contiguous float64 buffer, ``n_steps // stride + 1``
     rows of [theta, psi, theta_dot, psi_dot] every ``stride`` steps, starting
-    with the initial state) and returns -1, or the index of the first step that
-    produced a non-finite state or met an infinite phase inside a stage.
-    The steps after the last stored row still run and are still checked.
+    with the initial state).  Raises NonFiniteStateError with the index of
+    the first step that produced a non-finite state or met an infinite phase
+    inside a stage.  The steps after the last stored row still run and are
+    still checked.
     """
     sin = math.sin
     neg_kappa_wjl_sq = -kappa_wjl_sq  # exact, so -k*x rounds as before
@@ -138,7 +139,7 @@ def rk4_step_loop(theta, psi, theta_dot, psi_dot, dt, n_steps, stride,
                 psi_dot = psi_dot + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
                 # x * 0.0 is NaN exactly when x is inf or NaN
                 if theta * 0.0 + psi * 0.0 + theta_dot * 0.0 + psi_dot * 0.0 != 0.0:
-                    return step
+                    raise NonFiniteStateError(step)
             if i < size:  # false only after the unstored tail
                 flat[i] = theta
                 flat[i + 1] = psi
@@ -146,8 +147,7 @@ def rk4_step_loop(theta, psi, theta_dot, psi_dot, dt, n_steps, stride,
                 flat[i + 3] = psi_dot
                 i += 4
     except ValueError:  # math.sin(inf) in a stage
-        return step
-    return -1
+        raise NonFiniteStateError(step) from None
 
 
 def active_backend() -> str:

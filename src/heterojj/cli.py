@@ -243,15 +243,12 @@ def _trajectory(cfg: RunConfig, stride: int):
     from . import _kernels
     state = PhaseState(cfg.theta0, cfg.psi0, cfg.theta_dot0, cfg.psi_dot0)
     args = _kernels.rk4_setup(state, cfg.dt, cfg.n_steps, stride, cfg.params)
-
-    def integrate():  # into the shared buffer args[-1]
-        bad_step = _kernels.rk4_step_loop(*args)
-        if bad_step >= 0:
-            raise NonFiniteStateError(bad_step)
-    with _helper(integrate, "numpy" not in sys.modules and _second_cpu()) as done:
+    # the kernel fills the shared buffer args[-1]
+    with _helper(lambda: _kernels.rk4_step_loop(*args),
+                 "numpy" not in sys.modules and _second_cpu()) as done:
         from . import dynamics  # numpy loads here, beside the helper
         if done():
-            return dynamics._trajectory(state.tau, cfg.dt, stride, cfg.params, args[-1], -1)
+            return dynamics._trajectory(state.tau, cfg.dt, stride, cfg.params, args[-1])
     # as a library caller does; it sets the run up again, in microseconds
     return dynamics.integrate(state, cfg.dt, cfg.n_steps, cfg.params, stride=stride)
 
@@ -357,6 +354,8 @@ def _sweep_json(head: dict, grid) -> Iterator[str]:
 
 def cmd_sweep(args) -> int:
     stem = _out(args, "stem")
+    if not os.path.basename(stem):  # 'd/' would write the hidden d/.csv
+        raise ConfigError(f"--out stem {stem!r} has no file name")
     cfg = _load(args)
     from . import escape
     grid = escape.sweep_grid(cfg.params, cfg.axis1, cfg.axis2)

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import _EXPORTS, _kernels, model
-from .errors import NoEquilibriumError, NonFiniteStateError
+from .errors import NoEquilibriumError
 from .inputs import JunctionParams, PhaseState
 
 __all__ = list(_EXPORTS["dynamics"])
@@ -32,7 +32,7 @@ EQUILIBRIUM_TOL = 1e-12
 EQUILIBRIUM_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Uniformly sampled trajectory with its parameter snapshot.
 
@@ -116,15 +116,13 @@ def integrate(initial: PhaseState, dt: float, n_steps: int,
         inside a stage (reports the step index).
     """
     args = _kernels.rk4_setup(initial, dt, n_steps, stride, params)
-    return _trajectory(initial.tau, dt, stride, params, args[-1], _kernels.rk4_step_loop(*args))
+    _kernels.rk4_step_loop(*args)
+    return _trajectory(initial.tau, dt, stride, params, args[-1])
 
 
-def _trajectory(tau0: float, dt: float, stride: int, params: JunctionParams,
-                out, bad_step: int) -> Trajectory:
-    """The :class:`Trajectory` of the rows the kernel wrote into ``out``,
-    or the NonFiniteStateError of the ``bad_step`` it returned."""
-    if bad_step >= 0:
-        raise NonFiniteStateError(int(bad_step))
+def _trajectory(tau0: float, dt: float, stride: int, params: JunctionParams, out) -> Trajectory:
+    """The :class:`Trajectory` of the rows a clean kernel run wrote into
+    ``out``; a run that went non-finite raised in the kernel instead."""
     theta, psi, theta_dot, psi_dot = np.frombuffer(out).reshape(-1, 4).T
     inv_theta, inv_psi = _inverse_mass(params)
     # every stored state is finite, but its time or energy may still overflow

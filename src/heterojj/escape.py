@@ -93,7 +93,7 @@ class EscapeResult:
     ln_gamma: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepGrid:
     """Rectangular grid of ln(Gamma/Gamma0) over two parameter axes.
 

@@ -42,7 +42,7 @@ BOUNCE_SEARCH_WIDTH = 2.0 * math.pi
 TURNING_SCAN_POINTS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumResult:
     """Low-lying spectrum of the quantized relative-phase well.
 

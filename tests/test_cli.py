@@ -199,6 +199,16 @@ def test_empty_out_exits_config(tmp_path, capsys, monkeypatch, command, what):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("stem", ["d/", "./"])
+def test_stem_without_file_name_exits_config(tmp_path, capsys, monkeypatch, stem):
+    # d/.csv would be a hidden file, named by the extension alone
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    assert main(["sweep", "--out", stem]) == 2
+    assert capsys.readouterr() == ("", f"error: --out stem {stem!r} has no file name\n")
+    assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+
+
 def test_unwritable_output_path(tmp_path, capsys):
     cfg = write(tmp_path, "sim.cfg", SIM_CONFIG)
     assert main(["simulate", "--config", cfg,

@@ -29,6 +29,9 @@ CONFIGS = {
     # theta runs past the float range at step 180
     "runaway.cfg": "[junction]\nej_over_ec = 100\nomega_ratio = 2\nbias = 0.5\n\n[run]\n"
                    "dt = 1\nn_steps = 5000\ntheta_dot0 = 1e306\n",
+    # each step's state is finite until step 309 overflows
+    "mid-run.cfg": "[junction]\nej1 = 1e303\nej2 = 1e303\nein = 1\nbias = 0.9\n\n[run]\n"
+                   "n_steps = 1000\ndt = 1\n",
     # two stored rows, but one step more than MAX_STEPS
     "max-steps.cfg": "[junction]\nej_over_ec = 100\nomega_ratio = 2\n\n[run]\n"
                      f"n_steps = {MAX_STEPS + 1}\nstride = {MAX_STEPS}\n",
@@ -119,6 +122,7 @@ cli.run()
 HELPER_CASES = [
     ("stride-5000", ["simulate", "--config", "@long.cfg", "--stride", "5000"], 0, True),
     ("non-finite", ["simulate", "--config", "@runaway.cfg"], 4, True),
+    ("mid-run-non-finite", ["simulate", "--config", "@mid-run.cfg"], 4, True),
     ("full-out", ["simulate", "--config", "@long.cfg", "--stride", "5000",
                   "--out", "/dev/full"], 2, True),
     ("above-max-steps", ["simulate", "--config", "@max-steps.cfg"], 3, False),
@@ -143,6 +147,19 @@ def test_kernel_helper_gives_mains_code_and_bytes(tmp_path, monkeypatch, mode, a
                    argv, tmp_path / "process") == expected
     tries = 1 if forks and cli._second_cpu() else 0
     assert log.read_text() == (mode + "\n") * tries
+
+
+# python -m heterojj forks the kernel helper where it can; the helper's
+# kernel raises at step 309 and the command integrates again, to the same
+# error.  main(argv) here, with numpy loaded, integrates in-process only.
+@pytest.mark.parametrize("run", ["process", "main"])
+def test_mid_run_non_finite_names_its_step(tmp_path, monkeypatch, run):
+    argv = write_configs(tmp_path, ["simulate", "--config", "@mid-run.cfg", "--out", "run.csv"])
+    if run == "main":
+        monkeypatch.setattr(os, "fork", start_no_helper)
+    result = outputs(run_process if run == "process" else run_in_process, argv,
+                     tmp_path / run)
+    assert result == (4, b"", b"error: non-finite state at step 309\n", {})
 
 
 # run() on a stand-in for main: sys.argv[1] is its body

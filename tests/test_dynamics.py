@@ -128,8 +128,10 @@ def test_non_finite_abort_reports_step():
 
 def _kernel_bad_step(tilt_force, n_steps, stride):
     out = np.empty((n_steps // stride + 1, 4))
-    return _kernels.rk4_step_loop(0.0, 0.0, 0.0, 0.0, 1.0, n_steps, stride,
-                                  1.0, 1.0, 1.0, tilt_force, 1.0, 0.5, 0.5, 1.0, 1.0, out)
+    with pytest.raises(NonFiniteStateError) as info:
+        _kernels.rk4_step_loop(0.0, 0.0, 0.0, 0.0, 1.0, n_steps, stride,
+                               1.0, 1.0, 1.0, tilt_force, 1.0, 0.5, 0.5, 1.0, 1.0, out)
+    return info.value.step
 
 
 # theta_dot grows by ~tilt_force per step until it overflows: at 1e307 a
@@ -148,8 +150,10 @@ def test_kernel_overflow_step_does_not_depend_on_stride(tilt_force):
 @pytest.mark.parametrize("tilt_force,c1", [(1.7e308, 1.0), (0.0, 1.7e308)])
 def test_kernel_stops_on_a_velocity_alone(tilt_force, c1):
     out = np.empty((11, 4))
-    assert _kernels.rk4_step_loop(1.0, 0.0, 0.0, 0.0, 1e-3, 10, 1, 1.0, 1.0, 1.0,
-                                  tilt_force, 1.0, 0.5, 0.5, c1, 1.0, out) == 1
+    with pytest.raises(NonFiniteStateError) as info:
+        _kernels.rk4_step_loop(1.0, 0.0, 0.0, 0.0, 1e-3, 10, 1, 1.0, 1.0, 1.0,
+                               tilt_force, 1.0, 0.5, 0.5, c1, 1.0, out)
+    assert info.value.step == 1
 
 
 def test_fourth_order_convergence():

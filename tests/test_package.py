@@ -61,3 +61,45 @@ print(json.dumps({"before": before, "after": loaded(), "points": spectrum_points
                                "heterojj.model", "heterojj.oracle"]
     assert result["points"] == heterojj.oracle.SPECTRUM_POINTS
     assert result["cached"]
+
+
+def test_cold_cli_import_loads_only_the_numpy_free_front_end():
+    # in a fresh interpreter; setup_s in perfbench times this import
+    probe = r"""
+import json, sys
+import heterojj.cli
+loaded = sorted(m for m in sys.modules if m.startswith("heterojj"))
+numpy = "numpy" in sys.modules
+import heterojj.model
+try:
+    heterojj.cli.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({"loaded": loaded, "numpy": numpy, "unknown": unknown,
+                  "derive": heterojj.cli.derive is heterojj.model.derive}))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == ["heterojj", "heterojj.cli", "heterojj.config",
+                                "heterojj.errors", "heterojj.inputs"]
+    assert not result["numpy"]
+    assert result["derive"]
+    assert result["unknown"] == "module 'heterojj.cli' has no attribute 'no_such_name'"
+
+
+def test_results_that_hold_arrays_compare_and_hash_by_identity():
+    # field-wise == on numpy arrays would raise, and arrays cannot be hashed
+    params = heterojj.JunctionParams.from_ratios(100.0, 2.0, bias=0.95)
+    axes = (heterojj.AxisSpec("bias", 0.9, 0.99, 3), heterojj.AxisSpec("omega_ratio", 1, 3, 4))
+    state = heterojj.PhaseState(0.01, 0.0, 0.0, 0.0)
+    for make in (lambda: heterojj.sweep_grid(params, *axes),
+                 lambda: heterojj.integrate(state, 1e-3, 10, params),
+                 lambda: heterojj.harmonic_spectrum(params)):
+        first, second = make(), make()
+        assert first == first and first != second
+        assert first in [first] and second not in [first]
+        assert {first: 1}[first] == 1 and hash(first) != hash(second)
