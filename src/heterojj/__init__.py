@@ -15,7 +15,7 @@ imports only the modules it runs.
 
 __version__ = "0.1.0"
 
-# Each submodule and the public names it defines: its __all__, read from here.
+# Each submodule and the public names it exports: its __all__, read from here.
 _EXPORTS = {
     "model": ("JunctionParams", "DerivedScales", "derive", "split_phases",
               "potential", "potential_gradient", "potential_hessian"),

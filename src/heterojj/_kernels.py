@@ -20,7 +20,7 @@ import mmap
 from itertools import chain
 
 from .errors import InvalidParameterError, NonFiniteStateError
-from .inputs import channel_weights, is_integer, is_number, lambda_cap, shown
+from .model import channel_weights, is_integer, is_number, lambda_cap, shown
 
 # The most steps one run takes: about 40 min of the kernel at ~2.2 us a
 # step, and far beyond any run the commands need
@@ -29,7 +29,7 @@ MAX_STEPS = 10**9
 
 def rk4_setup(state, dt, n_steps, stride, params) -> tuple:
     """The arguments of :func:`rk4_step_loop` for a run from ``state``, a
-    :class:`heterojj.inputs.PhaseState`, which checked itself when it was
+    :class:`heterojj.model.PhaseState`, which checked itself when it was
     built; ``out`` is last, a new anonymous shared mapping that a forked
     process can fill.  Raises InvalidParameterError, in this order, for a
     dt that is not a finite positive number, an ``n_steps`` that is not an

@@ -29,7 +29,7 @@ from . import __version__
 from .config import RunConfig, default_config, load_config
 from .errors import (ConfigError, InvalidAxisError, InvalidParameterError,
                      NoBarrierError, NoEquilibriumError, NonFiniteStateError)
-from .inputs import AxisSpec, PhaseState
+from .model import AxisSpec, PhaseState, derive
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -64,17 +64,6 @@ CSV_SPLIT_ROWS = 16 * CSV_CHUNK_ROWS
 READ_BACK_CHARS = 16 * CSV_CHUNK_ROWS
 
 
-def __getattr__(name):
-    # heterojj.cli.derive is model.derive, looked up on use so that a cold
-    # import of this module loads no model.  Its one user is the WRAPPED
-    # entry in perfbench/traced_child.py; the benchmark repair in ROADMAP
-    # item 6 drops that entry, and this hook with it.
-    if name == "derive":
-        from .model import derive
-        return derive
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _stderr(line: str) -> None:
     """Write an ``error:`` or ``warning:`` line to stderr, if it can be
     written: a process started with stderr closed has ``sys.stderr = None``,
@@ -93,8 +82,8 @@ def _load(args) -> RunConfig:
 
 
 def _derive_report(cfg: RunConfig) -> dict:
-    from . import escape, model
-    return {**asdict(cfg.params), **asdict(model.derive(cfg.params)),
+    from . import escape
+    return {**asdict(cfg.params), **asdict(derive(cfg.params)),
             **asdict(escape.epsilon(cfg.params))}
 
 
@@ -354,7 +343,8 @@ def _sweep_json(head: dict, grid) -> Iterator[str]:
 
 def cmd_sweep(args) -> int:
     stem = _out(args, "stem")
-    if not os.path.basename(stem):  # 'd/' would write the hidden d/.csv
+    # 'd/', '.' and '..' would write the hidden d/.csv, ..csv and ...csv
+    if os.path.basename(stem) in ("", ".", ".."):
         raise ConfigError(f"--out stem {stem!r} has no file name")
     cfg = _load(args)
     from . import escape

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _EXPORTS, _kernels, model
 from .errors import NoEquilibriumError
-from .inputs import JunctionParams, PhaseState
+from .model import JunctionParams, PhaseState
 
 __all__ = list(_EXPORTS["dynamics"])
 

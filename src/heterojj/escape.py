@@ -46,8 +46,7 @@ from typing import TYPE_CHECKING
 
 from . import _EXPORTS
 from .errors import InvalidAxisError, InvalidParameterError, NoBarrierError
-from .inputs import AxisSpec, JunctionParams, is_number, shown
-from .model import channel_weights, derive, ops
+from .model import AxisSpec, JunctionParams, channel_weights, derive, is_number, ops, shown
 
 if TYPE_CHECKING:
     import numpy as np
@@ -161,14 +160,18 @@ def escape_rate_ln(params: JunctionParams, eps: float) -> EscapeResult:
     tilt.  Any other object with the same fields broadcasts as
     :func:`heterojj.model.derive` does, NaN in the cells outside the rule.
 
-    A point and the same junction as a one-cell array agree to the last
-    bits but for ``u ** 0.25``, Python's pow for one and numpy's for the
-    other (up to 2 ulp apart): their ln_gamma differ by up to 8 ulp of the
-    sum of the terms it adds, ln 12 + |ln omega_p_i| + |ln_prefactor| +
-    exponent_b, and their :func:`enhancement_ratio_ln` by up to 6 ulp of
-    the larger of the corrected and bare sums (measured on 3 * 10**5 random
-    junctions).  ln_gamma itself may cancel to near 0, so these are not
-    ulp of ln_gamma.
+    A point and the same junction as a one-cell array may differ in the
+    last bits, because a point calls :mod:`math` and an array numpy, whose
+    results differ in the last bit for three of the functions used here:
+    ``u ** 0.25`` (pow, up to 2 ulp apart), ``asin`` (so theta0 may
+    differ, with no pow in it) and ``log`` (so ln_prefactor may differ
+    where omega_p_i and v0 agree bit for bit).  Their ln_gamma differ by up
+    to 8 ulp of the sum of the terms it adds, ln 12 + |ln omega_p_i| +
+    |ln_prefactor| + exponent_b, and their :func:`enhancement_ratio_ln` by
+    up to 6 ulp of the larger of the corrected and bare sums (measured on
+    3 * 10**5 random junctions).  ln_gamma itself may cancel to near 0, so
+    these are not ulp of ln_gamma.  ``sqrt(sqrt(u))``, on which math and
+    numpy agree, would not make the two paths agree: asin and log remain.
     """
     xp = ops(params)
     bias = params.bias

@@ -25,8 +25,7 @@ import numpy as np
 
 from . import _EXPORTS, escape
 from .errors import ConvergenceError, InvalidParameterError, NoBarrierError
-from .inputs import is_number, shown
-from .model import JunctionParams, derive
+from .model import JunctionParams, derive, is_number, shown
 
 __all__ = list(_EXPORTS["oracle"])
 
@@ -174,7 +173,7 @@ def bounce_action(potential_profile: Callable, mass: float,
     ------
     InvalidParameterError
         If ``mass`` is not a positive number or ``theta_min`` is not a
-        number, by the rule of :func:`heterojj.inputs.is_number`.
+        number, by the rule of :func:`heterojj.model.is_number`.
     NoBarrierError
         If no barrier rises above the minimum, or the potential never
         returns to the minimum level within one washboard period.

@@ -199,9 +199,9 @@ def test_empty_out_exits_config(tmp_path, capsys, monkeypatch, command, what):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("stem", ["d/", "./"])
+@pytest.mark.parametrize("stem", ["d/", "./", ".", "..", "d/."])
 def test_stem_without_file_name_exits_config(tmp_path, capsys, monkeypatch, stem):
-    # d/.csv would be a hidden file, named by the extension alone
+    # d/.csv, ..csv and ...csv would be hidden files, named by the extension
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d").mkdir()
     assert main(["sweep", "--out", stem]) == 2
@@ -1112,7 +1112,7 @@ def test_cold_commands_load_only_their_modules(tmp_path):
                                      ["sweep", "--config", cfg, "--out", stem]])
     assert codes == [0, 0, 0]
     assert loaded == ["heterojj", "heterojj.cli", "heterojj.config", "heterojj.errors",
-                      "heterojj.escape", "heterojj.inputs", "heterojj.model"]
+                      "heterojj.escape", "heterojj.model"]
     codes, _, loaded = loaded_after([["simulate", "--config", cfg]])
     assert codes == [0]
     assert integrator <= set(loaded) and not (oracles | {"heterojj.escape"}) & set(loaded)

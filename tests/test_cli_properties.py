@@ -23,7 +23,7 @@ import tempfile
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from heterojj.inputs import AXIS_NAMES
+from heterojj.model import AXIS_NAMES
 from helpers import run_cli
 
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6}

@@ -30,7 +30,7 @@ from heterojj import (AxisSpec, JunctionParams, PhaseState, bounce_action,
 from heterojj._kernels import MAX_STEPS, rk4_setup
 from heterojj.errors import (HeterojjError, InvalidAxisError,
                              InvalidParameterError, NoBarrierError)
-from heterojj.inputs import AXIS_NAMES
+from heterojj.model import AXIS_NAMES
 
 BEYOND_FLOATS = (st.integers(10**309, 10**400)
                  | st.integers(-10**400, -10**309))
@@ -175,7 +175,8 @@ def test_phase_state_is_an_input_held_as_floats():
     import heterojj
     from heterojj import _kernels, dynamics
 
-    assert PhaseState.__module__ == "heterojj.inputs"
+    # the parameter types live with the scales derived from them
+    assert all(t.__module__ == "heterojj.model" for t in (JunctionParams, AxisSpec, PhaseState))
     assert heterojj.PhaseState is dynamics.PhaseState
     assert not hasattr(_kernels, "check_state")
     state = PhaseState(np.float32(0.1), np.int64(2), 0, 1, tau=np.float64(0.5))

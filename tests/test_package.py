@@ -57,8 +57,8 @@ print(json.dumps({"before": before, "after": loaded(), "points": spectrum_points
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["before"] == []
-    assert result["after"] == ["heterojj.errors", "heterojj.escape", "heterojj.inputs",
-                               "heterojj.model", "heterojj.oracle"]
+    assert result["after"] == ["heterojj.errors", "heterojj.escape", "heterojj.model",
+                               "heterojj.oracle"]
     assert result["points"] == heterojj.oracle.SPECTRUM_POINTS
     assert result["cached"]
 
@@ -85,7 +85,7 @@ print(json.dumps({"loaded": loaded, "numpy": numpy, "unknown": unknown,
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["loaded"] == ["heterojj", "heterojj.cli", "heterojj.config",
-                                "heterojj.errors", "heterojj.inputs"]
+                                "heterojj.errors", "heterojj.model"]
     assert not result["numpy"]
     assert result["derive"]
     assert result["unknown"] == "module 'heterojj.cli' has no attribute 'no_such_name'"
